@@ -1,5 +1,5 @@
 //! [`AdjView`] — a self-loop-augmented adjacency with precomputed
-//! normalisations, the aggregation substrate every encoder runs on.
+//! symmetric normalisation, the aggregation substrate every encoder runs on.
 //!
 //! SES runs the *same* encoder parameters over different adjacencies (the
 //! plain graph for `Z`, the k-hop graph for `Z_m`, masked variants for
@@ -8,16 +8,15 @@
 
 use std::sync::Arc;
 
-use ses_graph::{row_norm_values, sym_norm_values, with_self_loops, Graph};
+use ses_graph::{sym_norm_values, with_self_loops, Graph};
 use ses_tensor::CsrStructure;
 
-/// An adjacency "view": structure with self-loops plus symmetric and row
+/// An adjacency "view": structure with self-loops plus symmetric
 /// normalisation values.
 #[derive(Debug, Clone)]
 pub struct AdjView {
     structure: Arc<CsrStructure>,
     sym_norm: Vec<f32>,
-    row_norm: Vec<f32>,
     /// Flat positions of the self-loop entries (one per node), used when a
     /// mask over the *loop-free* structure is lifted onto this view.
     loop_positions: Vec<usize>,
@@ -29,11 +28,10 @@ pub struct AdjView {
 
 impl AdjView {
     /// Builds a view from a loop-free structure by adding self-loops and
-    /// computing both normalisations.
+    /// computing its symmetric normalisation.
     pub fn from_structure(loop_free: &Arc<CsrStructure>) -> Self {
         let structure = with_self_loops(loop_free);
         let sym = sym_norm_values(&structure);
-        let row = row_norm_values(&structure);
         let n = structure.n_rows();
         let loop_positions = (0..n)
             .map(|i| {
@@ -46,7 +44,6 @@ impl AdjView {
         let (rows, cols) = structure.entry_endpoints();
         Self {
             sym_norm: sym.values().to_vec(),
-            row_norm: row.values().to_vec(),
             structure,
             loop_positions,
             entry_rows: Arc::new(rows),
@@ -77,11 +74,6 @@ impl AdjView {
     /// Symmetric (GCN) normalisation values, aligned with `structure()`.
     pub fn sym_norm(&self) -> &[f32] {
         &self.sym_norm
-    }
-
-    /// Row (mean) normalisation values, aligned with `structure()`.
-    pub fn row_norm(&self) -> &[f32] {
-        &self.row_norm
     }
 
     /// Number of nodes.
@@ -140,12 +132,6 @@ mod tests {
         let g = path3();
         let v = AdjView::of_graph(&g);
         assert_eq!(v.sym_norm().len(), v.nnz());
-        assert_eq!(v.row_norm().len(), v.nnz());
-        // row norm rows sum to 1
-        for r in 0..3 {
-            let s: f32 = v.structure().row_range(r).map(|p| v.row_norm()[p]).sum();
-            assert!((s - 1.0).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `ses-gnn` — GNN backbones and training infrastructure.
 //!
 //! Implements the trivial-GNN baselines of the paper's Table 3 — GCN, GAT
-//! (and its FusedGAT execution variant), GraphSAGE, GIN, ARMA, UniMP-style
+//! (and its FusedGAT execution variant), GIN, ARMA, UniMP-style
 //! label propagation, and A-SDGN — behind a shared [`Encoder`] trait, plus
 //! the full-batch [`trainer`] and the Fidelity+ metric (Table 5).
 //!
@@ -17,7 +17,6 @@ pub mod fidelity;
 pub mod gat;
 pub mod gcn;
 pub mod gin;
-pub mod sage;
 pub mod trainer;
 pub mod unimp;
 
@@ -29,6 +28,5 @@ pub use fidelity::{fidelity_plus, mask_top_features, predict_with_features};
 pub use gat::Gat;
 pub use gcn::Gcn;
 pub use gin::Gin;
-pub use sage::Sage;
 pub use trainer::{predict, train_node_classifier, TrainConfig, TrainError, TrainReport};
 pub use unimp::UniMp;

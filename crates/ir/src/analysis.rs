@@ -109,6 +109,7 @@ pub fn total_bytes(ir: &TapeIr) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ses_tensor::OpKind;
     use ses_verify::builder::IrBuilder;
 
     fn diamond() -> TapeIr {
@@ -116,10 +117,10 @@ mod tests {
         let mut b = IrBuilder::new();
         let a = b.leaf(2, 2);
         let c = b.leaf(2, 2);
-        let s = b.binary("add", a, c).unwrap();
-        let r = b.unary("relu", s).unwrap();
-        let m = b.binary("mul", s, r).unwrap();
-        b.unary("mean_all", m).unwrap();
+        let s = b.binary(OpKind::Add, a, c).unwrap();
+        let r = b.unary(OpKind::Relu, s).unwrap();
+        let m = b.binary(OpKind::Mul, s, r).unwrap();
+        b.unary(OpKind::MeanAll, m).unwrap();
         b.finish()
     }
 
@@ -154,9 +155,9 @@ mod tests {
         let mut b = IrBuilder::new();
         let k = b.constant(2, 2);
         let w = b.leaf(2, 2); // needs_grad
-        let kk = b.binary("add", k, k).unwrap();
-        let mixed = b.binary("add", k, w).unwrap();
-        b.unary("mean_all", mixed).unwrap();
+        let kk = b.binary(OpKind::Add, k, k).unwrap();
+        let mixed = b.binary(OpKind::Add, k, w).unwrap();
+        b.unary(OpKind::MeanAll, mixed).unwrap();
         let ir = b.finish();
         let konst = constant_nodes(&ir);
         assert!(konst[k] && konst[kk]);

@@ -166,6 +166,7 @@ pub fn compile(
 mod tests {
     use super::*;
     use crate::passes::broken_dce;
+    use ses_tensor::OpKind;
     use ses_verify::builder::IrBuilder;
 
     fn training_shaped_ir() -> (TapeIr, usize, usize) {
@@ -175,16 +176,16 @@ mod tests {
         let mut b = IrBuilder::new();
         let x = b.constant(4, 3);
         let w = b.leaf(3, 2);
-        let h1 = b.binary("matmul", x, w).unwrap();
-        let r1 = b.unary("relu", h1).unwrap();
+        let h1 = b.binary(OpKind::MatMul, x, w).unwrap();
+        let r1 = b.unary(OpKind::Relu, h1).unwrap();
         // duplicate of the hidden computation, feeding the second head
-        let h2 = b.binary("matmul", x, w).unwrap();
-        let r2 = b.unary("relu", h2).unwrap();
-        let both = b.binary("add", r1, r2).unwrap();
-        let logits = b.unary("sigmoid", both).unwrap();
+        let h2 = b.binary(OpKind::MatMul, x, w).unwrap();
+        let r2 = b.unary(OpKind::Relu, h2).unwrap();
+        let both = b.binary(OpKind::Add, r1, r2).unwrap();
+        let logits = b.unary(OpKind::Sigmoid, both).unwrap();
         // training-only branch
-        let sq = b.binary("mul", both, both).unwrap();
-        let loss = b.unary("mean_all", sq).unwrap();
+        let sq = b.binary(OpKind::Mul, both, both).unwrap();
+        let loss = b.unary(OpKind::MeanAll, sq).unwrap();
         (b.finish(), logits, loss)
     }
 
@@ -201,22 +202,22 @@ mod tests {
         assert!(plan.stats.peak_bytes_after < plan.stats.peak_bytes_before);
         assert_eq!(plan.outputs.len(), 1);
         let out_step = &plan.steps[plan.outputs[0]];
-        assert_eq!(out_step.op, "sigmoid");
+        assert_eq!(out_step.op, OpKind::Sigmoid);
     }
 
     #[test]
     fn compile_keeps_an_output_merged_by_cse_addressable() {
         let mut b = IrBuilder::new();
         let a = b.leaf(2, 2);
-        let s1 = b.unary("relu", a).unwrap();
-        let s2 = b.unary("relu", a).unwrap();
-        let m = b.binary("add", s1, s2).unwrap();
-        b.unary("mean_all", m).unwrap();
+        let s1 = b.unary(OpKind::Relu, a).unwrap();
+        let s2 = b.unary(OpKind::Relu, a).unwrap();
+        let m = b.binary(OpKind::Add, s1, s2).unwrap();
+        b.unary(OpKind::MeanAll, m).unwrap();
         let ir = b.finish();
         // s2 is a declared output *and* a CSE duplicate of s1.
         let plan = compile(&ir, None, &[s2, 4]).expect("compile");
         assert_eq!(plan.outputs.len(), 2);
-        assert_eq!(plan.steps[plan.outputs[0]].op, "relu");
+        assert_eq!(plan.steps[plan.outputs[0]].op, OpKind::Relu);
     }
 
     #[test]
@@ -224,7 +225,7 @@ mod tests {
         let mut b = IrBuilder::new();
         let a = b.leaf(2, 3);
         let c = b.leaf(4, 5);
-        let bad = b.raw("add", vec![a, c], (2, 3), true, true);
+        let bad = b.raw(OpKind::Add, vec![a, c], (2, 3), true, true);
         let ir = b.finish();
         let err = compile(&ir, None, &[bad]).unwrap_err();
         assert!(matches!(err, CompileError::InvalidInput(_)));

@@ -2,45 +2,26 @@
 //!
 //! The interpreter exists to *close the translation-validation loop at
 //! runtime*: the static checker proves value-number equality, and this
-//! module lets tests prove **bit identity** — every op is computed with the
-//! same [`Matrix`] methods and kernel entry points (`sparse::spmm`,
-//! `kernels::edge_softmax`) the recording tape used, in the same order, so
-//! an optimised plan must reproduce the tape's forward values exactly,
-//! down to the last ULP.
+//! module lets tests prove **bit identity** — every step runs the same
+//! [`ses_tensor::forward`] body the recording tape ran, so an optimised
+//! plan must reproduce the tape's forward values exactly, down to the last
+//! ULP. The executor itself only looks up payloads, checks them, and keeps
+//! the slot bookkeeping.
 //!
 //! Payloads (leaf matrices, CSR structures, index lists, dropout masks) are
 //! not part of the IR — the tape exports only summaries of them. The caller
 //! supplies them in a [`PayloadMap`] keyed by **original** tape node id;
 //! [`PlanStep::orig`] carries that id through every rewrite, which is the
 //! executor-side half of the witness contract described in
-//! [`ses_verify::equiv`].
+//! [`ses_verify::equiv`]. A payload whose summary differs from the one the
+//! plan was verified against is refused before its step runs.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use ses_tensor::{CsrStructure, Matrix};
+pub use ses_tensor::Payload;
+use ses_tensor::{forward, infer_shape, IrMeta, Matrix};
 
 use crate::plan::{InferencePlan, PlanStep};
-
-/// Side-channel data for one original tape node.
-#[derive(Debug, Clone)]
-pub enum Payload {
-    /// Value of a `leaf`/`constant` node (weights, features, mask logits).
-    Leaf(Matrix),
-    /// CSR structure of an `spmm`/`edge_softmax` node.
-    Sparse(Arc<CsrStructure>),
-    /// Row indices of a `gather_rows` node.
-    Gather(Arc<Vec<usize>>),
-    /// Labels and masked row set of an `nll_masked` node.
-    Nll {
-        /// Per-row class labels.
-        labels: Arc<Vec<usize>>,
-        /// Rows the loss averages over.
-        idx: Arc<Vec<usize>>,
-    },
-    /// Pre-sampled dropout mask (entries `0` or `1/(1-p)`).
-    Mask(Arc<Vec<f32>>),
-}
 
 /// Payloads keyed by original tape node id.
 #[derive(Debug, Clone, Default)]
@@ -59,10 +40,24 @@ impl PayloadMap {
         self.map.insert(id, payload);
     }
 
-    fn get(&self, id: usize, what: &str) -> Result<&Payload, ExecError> {
-        self.map
-            .get(&id)
-            .ok_or_else(|| ExecError(format!("missing {what} payload for original node {id}")))
+    /// The payload of `step`, checked against the summary the plan was
+    /// verified with.
+    fn checked(&self, step: &PlanStep) -> Result<&Payload, ExecError> {
+        let payload = self.map.get(&step.orig).ok_or_else(|| {
+            ExecError(format!(
+                "missing {} payload for original node {}",
+                step.op, step.orig
+            ))
+        })?;
+        let meta = payload.meta();
+        if meta != step.meta {
+            return Err(ExecError(format!(
+                "node {}: `{}` payload summarises to {meta:?}, but the plan was verified \
+                 against {:?}",
+                step.orig, step.op, step.meta
+            )));
+        }
+        Ok(payload)
     }
 }
 
@@ -80,16 +75,27 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-fn f32_param(step: &PlanStep, k: usize) -> Result<f32, ExecError> {
-    step.params
-        .get(k)
-        .map(|&b| f32::from_bits(b))
-        .ok_or_else(|| {
-            ExecError(format!(
-                "step {}: op `{}` missing param {k}",
-                step.orig, step.op
-            ))
-        })
+/// The value step `p` wrote, checked against the slot-writer journal.
+fn read<'a>(
+    plan: &InferencePlan,
+    slots: &'a [Option<Matrix>],
+    slot_writer: &[Option<usize>],
+    p: usize,
+) -> Result<&'a Matrix, ExecError> {
+    let slot = plan
+        .steps
+        .get(p)
+        .ok_or_else(|| ExecError(format!("operand step {p} does not exist")))?
+        .slot;
+    if slot_writer[slot] != Some(p) {
+        return Err(ExecError(format!(
+            "slot {slot} holds step {:?} but step {p} was expected (coloring bug)",
+            slot_writer[slot]
+        )));
+    }
+    slots[slot]
+        .as_ref()
+        .ok_or_else(|| ExecError(format!("slot {slot} read before first write")))
 }
 
 /// Executes `plan` and returns the output matrices in declared order.
@@ -99,202 +105,42 @@ fn f32_param(step: &PlanStep, k: usize) -> Result<f32, ExecError> {
 /// `slot_writer` journal asserts that every operand read observes the step
 /// that the plan said would produce it — a liveness-coloring bug (two live
 /// values sharing a slot) is reported as an [`ExecError`] instead of
-/// silently corrupting the run.
+/// silently corrupting the run. Before a step runs, its payload summary,
+/// parameter count and operand shapes are checked against the plan, so a
+/// bad payload or hand-edited plan is an [`ExecError`], never a panic.
 pub fn execute(plan: &InferencePlan, payloads: &PayloadMap) -> Result<Vec<Matrix>, ExecError> {
     let mut slots: Vec<Option<Matrix>> = vec![None; plan.slots.len()];
     let mut slot_writer: Vec<Option<usize>> = vec![None; plan.slots.len()];
-    let read = |slots: &[Option<Matrix>],
-                slot_writer: &[Option<usize>],
-                steps: &[PlanStep],
-                p: usize|
-     -> Result<Matrix, ExecError> {
-        let slot = steps[p].slot;
-        if slot_writer[slot] != Some(p) {
+    for (i, step) in plan.steps.iter().enumerate() {
+        let op = step.op;
+        let payload = if op.has_payload() {
+            Some(payloads.checked(step)?)
+        } else {
+            None
+        };
+        let meta = payload.map_or(IrMeta::None, Payload::meta);
+        if step.params.len() != usize::from(op.has_param()) {
             return Err(ExecError(format!(
-                "slot {slot} holds step {:?} but step {p} was expected (coloring bug)",
-                slot_writer[slot]
+                "step {i}: op `{op}` carries {} params",
+                step.params.len()
             )));
         }
-        slots[slot]
-            .clone()
-            .ok_or_else(|| ExecError(format!("slot {slot} read before first write")))
-    };
-    for (i, step) in plan.steps.iter().enumerate() {
-        let arg = |k: usize| -> Result<Matrix, ExecError> {
-            let &p = step.parents.get(k).ok_or_else(|| {
-                ExecError(format!("step {i}: op `{}` missing operand {k}", step.op))
-            })?;
-            read(&slots, &slot_writer, &plan.steps, p)
-        };
-        let value = match step.op.as_str() {
-            "leaf" => match payloads.get(step.orig, "leaf")? {
-                Payload::Leaf(m) => m.clone(),
-                other => {
-                    return Err(ExecError(format!(
-                        "node {}: expected leaf payload, got {other:?}",
-                        step.orig
-                    )))
-                }
-            },
-            "add" => arg(0)?.add(&arg(1)?),
-            "sub" => arg(0)?.sub(&arg(1)?),
-            "mul" => arg(0)?.hadamard(&arg(1)?),
-            "scale" => arg(0)?.scale(f32_param(step, 0)?),
-            "add_scalar" => {
-                let c = f32_param(step, 0)?;
-                arg(0)?.map(|x| x + c)
-            }
-            "mul_scalar_var" => {
-                let s = arg(0)?.scalar_value();
-                arg(1)?.scale(s)
-            }
-            "matmul" => arg(0)?.matmul(&arg(1)?),
-            "transpose" => arg(0)?.transpose(),
-            "add_row_broadcast" => {
-                let mut v = arg(0)?;
-                let b = arg(1)?.as_slice().to_vec();
-                let (n, f) = v.shape();
-                for r in 0..n {
-                    let row = v.row_mut(r);
-                    for j in 0..f {
-                        row[j] += b[j];
-                    }
-                }
-                v
-            }
-            "mul_col_broadcast" => {
-                let mut v = arg(0)?;
-                let s = arg(1)?.as_slice().to_vec();
-                let (n, f) = v.shape();
-                for (r, &sr) in s.iter().enumerate().take(n) {
-                    let row = v.row_mut(r);
-                    for x in row.iter_mut().take(f) {
-                        *x *= sr;
-                    }
-                }
-                v
-            }
-            "spmm" => match payloads.get(step.orig, "sparse")? {
-                Payload::Sparse(structure) => {
-                    let values = arg(0)?;
-                    let dense = arg(1)?;
-                    ses_tensor::sparse::spmm(structure, values.as_slice(), &dense)
-                }
-                other => {
-                    return Err(ExecError(format!(
-                        "node {}: expected sparse payload, got {other:?}",
-                        step.orig
-                    )))
-                }
-            },
-            "edge_softmax" => match payloads.get(step.orig, "sparse")? {
-                Payload::Sparse(structure) => {
-                    let scores = arg(0)?;
-                    let out = ses_tensor::kernels::edge_softmax(
-                        structure,
-                        scores.as_slice(),
-                        ses_tensor::par::configured_threads(),
-                    );
-                    Matrix::from_vec(structure.nnz(), 1, out)
-                }
-                other => {
-                    return Err(ExecError(format!(
-                        "node {}: expected sparse payload, got {other:?}",
-                        step.orig
-                    )))
-                }
-            },
-            "gather_rows" => match payloads.get(step.orig, "gather")? {
-                Payload::Gather(idx) => arg(0)?.gather_rows(idx.as_slice()),
-                other => {
-                    return Err(ExecError(format!(
-                        "node {}: expected gather payload, got {other:?}",
-                        step.orig
-                    )))
-                }
-            },
-            "sigmoid" => arg(0)?.map(|x| 1.0 / (1.0 + (-x).exp())),
-            "relu" => arg(0)?.map(|x| x.max(0.0)),
-            "leaky_relu" => {
-                let slope = f32_param(step, 0)?;
-                arg(0)?.map(|x| if x > 0.0 { x } else { slope * x })
-            }
-            "elu" => {
-                let alpha = f32_param(step, 0)?;
-                arg(0)?.map(|x| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) })
-            }
-            "tanh" => arg(0)?.map(f32::tanh),
-            "sqrt_eps" => {
-                let eps = f32_param(step, 0)?;
-                arg(0)?.map(|x| (x + eps).sqrt())
-            }
-            "log_eps" => {
-                let eps = f32_param(step, 0)?;
-                arg(0)?.map(|x| (x + eps).ln())
-            }
-            "exp" => arg(0)?.map(f32::exp),
-            "abs" => arg(0)?.map(f32::abs),
-            "log_softmax_rows" => {
-                let x = arg(0)?;
-                let (n, c) = x.shape();
-                let mut out = Matrix::zeros(n, c);
-                for r in 0..n {
-                    let row = x.row(r);
-                    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                    let logsum = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
-                    let o = out.row_mut(r);
-                    for j in 0..c {
-                        o[j] = row[j] - logsum;
-                    }
-                }
-                out
-            }
-            "nll_masked" => match payloads.get(step.orig, "nll")? {
-                Payload::Nll { labels, idx } => {
-                    let lp = arg(0)?;
-                    let mut acc = 0.0;
-                    for &r in idx.iter() {
-                        acc -= lp[(r, labels[r])];
-                    }
-                    Matrix::scalar(acc / idx.len() as f32)
-                }
-                other => {
-                    return Err(ExecError(format!(
-                        "node {}: expected nll payload, got {other:?}",
-                        step.orig
-                    )))
-                }
-            },
-            "concat_cols" => arg(0)?.concat_cols(&arg(1)?),
-            "concat_rows" => arg(0)?.concat_rows(&arg(1)?),
-            "sum_all" => Matrix::scalar(arg(0)?.sum()),
-            "mean_all" => Matrix::scalar(arg(0)?.mean()),
-            "row_sum" => arg(0)?.row_sums(),
-            "dropout" => match payloads.get(step.orig, "mask")? {
-                Payload::Mask(mask) => {
-                    let mut v = arg(0)?;
-                    for (x, &m) in v.as_mut_slice().iter_mut().zip(mask.iter()) {
-                        *x *= m;
-                    }
-                    v
-                }
-                other => {
-                    return Err(ExecError(format!(
-                        "node {}: expected mask payload, got {other:?}",
-                        step.orig
-                    )))
-                }
-            },
-            op => return Err(ExecError(format!("step {i}: unknown op `{op}`"))),
-        };
-        if value.shape() != step.shape {
+        let param = step.params.first().map_or(0.0, |&b| f32::from_bits(b));
+        let args = step
+            .parents
+            .iter()
+            .map(|&p| read(plan, &slots, &slot_writer, p))
+            .collect::<Result<Vec<&Matrix>, ExecError>>()?;
+        let shapes: Vec<(usize, usize)> = args.iter().map(|m| m.shape()).collect();
+        let shape = infer_shape(op, &shapes, &meta)
+            .map_err(|e| ExecError(format!("step {i}: op `{op}`: {e}")))?;
+        if shape != step.shape {
             return Err(ExecError(format!(
-                "step {i}: op `{}` produced shape {:?}, plan declared {:?}",
-                step.op,
-                value.shape(),
+                "step {i}: op `{op}` produces shape {shape:?}, plan declared {:?}",
                 step.shape
             )));
         }
+        let value = forward(op, &args, param, payload);
         // Recycle the slot's previous occupant into the scratch pool: the
         // slot set behaves as one arena region whose buffers cycle through
         // [`ses_tensor::scratch`] instead of the allocator. `stats.arena_bytes`
@@ -307,7 +153,7 @@ pub fn execute(plan: &InferencePlan, payloads: &PayloadMap) -> Result<Vec<Matrix
     let outputs: Result<Vec<Matrix>, ExecError> = plan
         .outputs
         .iter()
-        .map(|&o| read(&slots, &slot_writer, &plan.steps, o))
+        .map(|&o| read(plan, &slots, &slot_writer, o).cloned())
         .collect();
     // Outputs were cloned out above; hand every slot buffer back to the
     // pool so the next `execute` (or the surrounding training loop) reuses
@@ -322,6 +168,8 @@ pub fn execute(plan: &InferencePlan, payloads: &PayloadMap) -> Result<Vec<Matrix
 mod tests {
     use super::*;
     use crate::compile::compile;
+
+    use std::sync::Arc;
 
     use ses_tensor::Tape;
 
@@ -394,5 +242,44 @@ mod tests {
         let plan = compile(&ir, None, &[y.index()]).expect("compile");
         let err = execute(&plan, &PayloadMap::new()).unwrap_err();
         assert!(err.0.contains("missing leaf payload"));
+    }
+
+    #[test]
+    fn short_dropout_mask_is_refused() {
+        let mut t = Tape::new();
+        let x = t.leaf(Matrix::from_vec(2, 2, vec![1.0, -2.0, 3.0, -4.0]));
+        let d = t.dropout(x, Arc::new(vec![2.0; 4]));
+        let plan = compile(&t.export_ir(), None, &[d.index()]).expect("compile");
+        let mut payloads = PayloadMap::new();
+        payloads.insert(x.index(), Payload::Leaf(t.value(x).clone()));
+        // One entry short: zipping it against the input would leave the
+        // last element unmasked.
+        payloads.insert(d.index(), Payload::Mask(Arc::new(vec![2.0; 3])));
+        let err = execute(&plan, &payloads).unwrap_err();
+        assert!(err.0.contains("dropout"), "{err}");
+    }
+
+    #[test]
+    fn out_of_bounds_gather_payload_is_an_error_not_a_panic() {
+        let mut t = Tape::new();
+        let x = t.leaf(Matrix::from_vec(3, 1, vec![1.0, 2.0, 3.0]));
+        let g = t.gather_rows(x, Arc::new(vec![2, 0]));
+        let plan = compile(&t.export_ir(), None, &[g.index()]).expect("compile");
+        let mut payloads = PayloadMap::new();
+        payloads.insert(x.index(), Payload::Leaf(t.value(x).clone()));
+        payloads.insert(g.index(), Payload::Gather(Arc::new(vec![7, 0])));
+        let err = execute(&plan, &payloads).unwrap_err();
+        assert!(err.0.contains("gather_rows"), "{err}");
+    }
+
+    #[test]
+    fn leaf_payload_of_the_wrong_shape_is_refused() {
+        let mut t = Tape::new();
+        let x = t.leaf(Matrix::from_vec(2, 1, vec![1.0, 2.0]));
+        let y = t.relu(x);
+        let plan = compile(&t.export_ir(), None, &[y.index()]).expect("compile");
+        let mut payloads = PayloadMap::new();
+        payloads.insert(x.index(), Payload::Leaf(Matrix::zeros(1, 2)));
+        assert!(execute(&plan, &payloads).is_err());
     }
 }

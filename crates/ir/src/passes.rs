@@ -27,7 +27,7 @@
 //!   `bad-rewrite` seeded defect can prove the validator actually rejects
 //!   an unsound pass.
 
-use ses_tensor::TapeIr;
+use ses_tensor::{OpKind, TapeIr};
 use ses_verify::equiv::value_numbers;
 
 use crate::analysis::ancestors;
@@ -103,7 +103,7 @@ pub fn dce(ir: &TapeIr, roots: &[usize]) -> Rewrite {
 /// Common-subexpression elimination by value numbering: the first node of
 /// each value class survives; later duplicates are dropped and their
 /// readers rewired to the representative. Only `cse_safe` ops ever share a
-/// class (see [`ses_tensor::op_info`]), so payload ops, leaves and
+/// class (see [`ses_tensor::OpKind::cse_safe`]), so payload ops, leaves and
 /// constants are never merged.
 pub fn cse(ir: &TapeIr) -> Rewrite {
     let vn = value_numbers(ir);
@@ -139,8 +139,8 @@ pub fn cse(ir: &TapeIr) -> Rewrite {
 pub fn fusion_candidates(ir: &TapeIr) -> Vec<usize> {
     ir.nodes
         .iter()
-        .filter(|n| n.op == "spmm" && !n.parents.is_empty())
-        .filter(|n| ir.nodes[n.parents[0]].op == "mul")
+        .filter(|n| n.op == OpKind::Spmm && !n.parents.is_empty())
+        .filter(|n| ir.nodes[n.parents[0]].op == OpKind::Mul)
         .map(|n| n.id)
         .collect()
 }
@@ -189,11 +189,11 @@ mod tests {
         let mut b = IrBuilder::new();
         let a = b.leaf(2, 2);
         let c = b.leaf(2, 2);
-        let s = b.binary("add", a, c).unwrap();
-        let dead = b.binary("mul", a, c).unwrap();
-        b.unary("sum_all", dead).unwrap();
-        let r = b.unary("relu", s).unwrap();
-        let out = b.unary("mean_all", r).unwrap();
+        let s = b.binary(OpKind::Add, a, c).unwrap();
+        let dead = b.binary(OpKind::Mul, a, c).unwrap();
+        b.unary(OpKind::SumAll, dead).unwrap();
+        let r = b.unary(OpKind::Relu, s).unwrap();
+        let out = b.unary(OpKind::MeanAll, r).unwrap();
         (b.finish(), out)
     }
 
@@ -202,7 +202,7 @@ mod tests {
         let (ir, out) = with_dead_branch();
         let rw = dce(&ir, &[out]);
         assert_eq!(rw.ir.nodes.len(), 5);
-        assert!(rw.ir.nodes.iter().all(|n| n.op != "mul"));
+        assert!(rw.ir.nodes.iter().all(|n| n.op != OpKind::Mul));
         let new_out = rw.witness.iter().position(|&w| w == out).unwrap();
         let diags = check_equivalence(&ir, &rw.ir, &rw.witness, &[(out, new_out)]);
         assert_eq!(error_count(&diags), 0, "{diags:?}");
@@ -213,17 +213,20 @@ mod tests {
         let mut b = IrBuilder::new();
         let a = b.leaf(2, 2);
         let c = b.leaf(2, 2);
-        let s1 = b.binary("add", a, c).unwrap();
-        let s2 = b.binary("add", a, c).unwrap(); // duplicate
-        let m = b.binary("mul", s1, s2).unwrap();
-        let out = b.unary("mean_all", m).unwrap();
+        let s1 = b.binary(OpKind::Add, a, c).unwrap();
+        let s2 = b.binary(OpKind::Add, a, c).unwrap(); // duplicate
+        let m = b.binary(OpKind::Mul, s1, s2).unwrap();
+        let out = b.unary(OpKind::MeanAll, m).unwrap();
         let ir = b.finish();
         let rw = cse(&ir);
         assert_eq!(rw.ir.nodes.len(), ir.nodes.len() - 1);
         // both leaves survive
-        assert_eq!(rw.ir.nodes.iter().filter(|n| n.op == "leaf").count(), 2);
+        assert_eq!(
+            rw.ir.nodes.iter().filter(|n| n.op == OpKind::Leaf).count(),
+            2
+        );
         // mul now reads the representative twice
-        let mul = rw.ir.nodes.iter().find(|n| n.op == "mul").unwrap();
+        let mul = rw.ir.nodes.iter().find(|n| n.op == OpKind::Mul).unwrap();
         assert_eq!(mul.parents[0], mul.parents[1]);
         let new_out = rw.witness.iter().position(|&w| w == out).unwrap();
         let diags = check_equivalence(&ir, &rw.ir, &rw.witness, &[(out, new_out)]);
@@ -234,10 +237,14 @@ mod tests {
     fn cse_keeps_duplicate_payload_ops_apart() {
         let mut b = IrBuilder::new();
         let x = b.leaf(4, 3);
-        let d1 = b.dropout(x, 12).unwrap();
-        let d2 = b.dropout(x, 12).unwrap();
-        let s = b.binary("add", d1, d2).unwrap();
-        b.unary("mean_all", s).unwrap();
+        let d1 = b
+            .op(OpKind::Dropout, &[x], IrMeta::Mask { len: 12 })
+            .unwrap();
+        let d2 = b
+            .op(OpKind::Dropout, &[x], IrMeta::Mask { len: 12 })
+            .unwrap();
+        let s = b.binary(OpKind::Add, d1, d2).unwrap();
+        b.unary(OpKind::MeanAll, s).unwrap();
         let ir = b.finish();
         let rw = cse(&ir);
         assert_eq!(rw.ir.nodes.len(), ir.nodes.len());
@@ -248,12 +255,17 @@ mod tests {
         let mut b = IrBuilder::new();
         let mask = b.leaf(4, 1);
         let scores = b.leaf(4, 1);
-        let masked = b.binary("mul", mask, scores).unwrap();
+        let masked = b.binary(OpKind::Mul, mask, scores).unwrap();
         let x = b.leaf(3, 2);
-        let y = b.spmm(3, 3, 4, masked, x).unwrap();
-        let plain = b.spmm(3, 3, 4, scores, x).unwrap();
-        let s = b.binary("add", y, plain).unwrap();
-        b.unary("mean_all", s).unwrap();
+        let sparse = IrMeta::Sparse {
+            rows: 3,
+            cols: 3,
+            nnz: 4,
+        };
+        let y = b.op(OpKind::Spmm, &[masked, x], sparse.clone()).unwrap();
+        let plain = b.op(OpKind::Spmm, &[scores, x], sparse).unwrap();
+        let s = b.binary(OpKind::Add, y, plain).unwrap();
+        b.unary(OpKind::MeanAll, s).unwrap();
         let ir = b.finish();
         assert_eq!(fusion_candidates(&ir), vec![y]);
         assert_eq!(

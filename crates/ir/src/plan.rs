@@ -8,7 +8,7 @@
 //! optimally per size class. Plan outputs are pinned live to the end, so
 //! reusing their slots is impossible by construction.
 
-use ses_tensor::{IrMeta, TapeIr};
+use ses_tensor::{IrMeta, OpKind, TapeIr};
 
 use crate::analysis::{last_uses, node_bytes, total_bytes};
 
@@ -18,8 +18,8 @@ pub struct PlanStep {
     /// Node id in the **original** (pre-rewrite) tape — the key under which
     /// the executor looks up payloads (leaf values, CSR structures, masks).
     pub orig: usize,
-    /// Op name, same vocabulary as [`ses_tensor::IrNode::op`].
-    pub op: String,
+    /// The op, as in [`ses_tensor::IrNode::op`].
+    pub op: OpKind,
     /// Operand step indices (always `<` this step's index).
     pub parents: Vec<usize>,
     /// Declared output shape.
@@ -157,7 +157,7 @@ pub(crate) fn assign_slots(
         slot_of[id] = slot;
         steps.push(PlanStep {
             orig: witness[id],
-            op: node.op.clone(),
+            op: node.op,
             parents: node.parents.clone(),
             shape: node.shape,
             params: node.params.clone(),
@@ -228,10 +228,10 @@ mod tests {
         // 0:leaf(2x2) 1:relu 2:sigmoid 3:tanh 4:mean_all — a pure chain
         let mut b = IrBuilder::new();
         let x = b.leaf(2, 2);
-        let a = b.unary("relu", x).unwrap();
-        let s = b.unary("sigmoid", a).unwrap();
-        let t = b.unary("tanh", s).unwrap();
-        b.unary("mean_all", t).unwrap();
+        let a = b.unary(OpKind::Relu, x).unwrap();
+        let s = b.unary(OpKind::Sigmoid, a).unwrap();
+        let t = b.unary(OpKind::Tanh, s).unwrap();
+        b.unary(OpKind::MeanAll, t).unwrap();
         b.finish()
     }
 

@@ -713,19 +713,33 @@ pub fn allow_syntax(file: &LintFile, out: &mut Vec<Violation>) {
     }
 }
 
+/// Directory holding the tape: every file under it is a tape op module, so
+/// moving tape methods between its files cannot drop coverage.
+pub const TAPE_DIR: &str = "crates/tensor/src/tape/";
+
 /// `gradcheck-coverage`: every differentiable op registered on the tape (a
-/// `pub fn … (&mut self, …)` in one of the tape op modules) must be exercised
-/// by name in the finite-difference test corpus
+/// `pub fn … (&mut self, …)` in a module under [`TAPE_DIR`]) must be
+/// exercised by name in the finite-difference test corpus
 /// (`crates/tensor/tests/*.rs` + `crates/tensor/src/gradcheck.rs`), so a new
-/// op cannot land with an unverified backward rule.
+/// op cannot land with an unverified backward rule. Finding no tape module
+/// at all is itself a violation: the rule must never silently check nothing.
 pub fn gradcheck_coverage(files: &[LintFile], out: &mut Vec<Violation>) {
-    const OP_MODULES: [&str; 5] = [
-        "crates/tensor/src/tape/elementwise.rs",
-        "crates/tensor/src/tape/graph_ops.rs",
-        "crates/tensor/src/tape/linalg.rs",
-        "crates/tensor/src/tape/loss.rs",
-        "crates/tensor/src/tape/reduce.rs",
-    ];
+    let op_modules: Vec<&LintFile> = files
+        .iter()
+        .filter(|f| f.rel_path.starts_with(TAPE_DIR) && f.rel_path.ends_with(".rs"))
+        .collect();
+    if op_modules.is_empty() {
+        out.push(Violation {
+            rule: GRADCHECK_COVERAGE,
+            file: TAPE_DIR.to_string(),
+            line: 0,
+            msg: format!(
+                "no tape op modules found under {TAPE_DIR}: the rule would check nothing; \
+                 update `TAPE_DIR` if the tape moved"
+            ),
+        });
+        return;
+    }
 
     let mut corpus = String::new();
     for f in files {
@@ -739,10 +753,7 @@ pub fn gradcheck_coverage(files: &[LintFile], out: &mut Vec<Violation>) {
         }
     }
 
-    for f in files {
-        if !OP_MODULES.contains(&f.rel_path.as_str()) {
-            continue;
-        }
+    for f in op_modules {
         for (idx, name) in tape_op_decls(f) {
             if corpus.contains(&format!(".{name}(")) {
                 continue;
@@ -1275,6 +1286,37 @@ mod tests {
         let mut out = Vec::new();
         gradcheck_coverage(&[op_file], &mut out);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn gradcheck_coverage_fails_when_the_tape_is_missing() {
+        // The op modules moved away (or were renamed): checking nothing must
+        // be a violation, not a silent pass.
+        let moved = file(
+            "crates/tensor/src/ops/elementwise.rs",
+            "impl Tape {\n    pub fn uncovered_op(&mut self, a: Var) -> Var { a }\n}",
+        );
+        let mut out = Vec::new();
+        gradcheck_coverage(&[moved], &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].msg.contains("no tape op modules"), "{out:?}");
+    }
+
+    #[test]
+    fn gradcheck_coverage_covers_every_tape_module() {
+        let op_file = file(
+            "crates/tensor/src/tape/new_module.rs",
+            "impl Tape {\n    pub fn fresh_op(&mut self, a: Var) -> Var { a }\n}",
+        );
+        let nested = file(
+            "crates/tensor/src/tape/sub/inner.rs",
+            "impl Tape {\n    pub fn nested_op(&mut self, a: Var) -> Var { a }\n}",
+        );
+        let mut out = Vec::new();
+        gradcheck_coverage(&[op_file, nested], &mut out);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out[0].msg.contains("fresh_op"));
+        assert!(out[1].msg.contains("nested_op"));
     }
 
     #[test]

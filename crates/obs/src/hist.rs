@@ -1,12 +1,14 @@
-//! Log-linear (HDR-style) latency histogram with bounded relative error.
+//! Log-linear (HDR-style) latency histogram with bounded relative error —
+//! the workspace's one histogram type.
 //!
-//! The power-of-two [`crate::Histogram`] answers "what order of magnitude"
-//! but cannot state a defensible p99: one bucket spans a full octave, so a
-//! quantile read off it can be wrong by 2×. This histogram subdivides each
-//! octave into [`SUB_BUCKETS`] linear sub-buckets, which caps the half-width
-//! of any bucket at 1/64 of its lower bound — the documented
-//! [`RELATIVE_ERROR_BOUND`] for every quantile estimate. Values below
-//! [`LINEAR_MAX`] get one bucket each and are reported exactly.
+//! A plain power-of-two histogram cannot state a defensible p99: one
+//! bucket spans a full octave, so a quantile read off it can be wrong by
+//! 2×. This histogram subdivides each octave into [`SUB_BUCKETS`] linear
+//! sub-buckets, which caps the half-width of any bucket at 1/64 of its
+//! lower bound — the documented [`RELATIVE_ERROR_BOUND`] for every quantile
+//! estimate. Values below [`LINEAR_MAX`] get one bucket each and are
+//! reported exactly. The Prometheus exporter publishes each instrument as
+//! a summary with p50/p90/p99/p99.9 quantiles.
 //!
 //! The record path is the same shape as the rest of the registry: an
 //! [`crate::enabled`] check, then three relaxed atomic RMWs — safe to call

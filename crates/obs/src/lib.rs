@@ -11,7 +11,7 @@
 //!   Aggregation is a fixed table of atomics keyed by the span's static
 //!   name, so guards dropped concurrently from the `par` fork/join workers
 //!   never take a lock.
-//! * [`metrics`] — typed [`Counter`]s, [`Gauge`]s and [`Histogram`]s behind
+//! * [`metrics`] — typed [`Counter`]s, [`Gauge`]s and [`LogHistogram`]s behind
 //!   relaxed atomics, plus the well-known instruments the tensor/gnn/core
 //!   crates increment (kernel invocations, nnz processed, allocation churn,
 //!   tape nodes, sanitizer events).
@@ -67,7 +67,7 @@ pub mod time;
 pub mod trace;
 
 pub use hist::{HistSnapshot, LogHistogram};
-pub use metrics::{Counter, Gauge, Histogram};
+pub use metrics::{Counter, Gauge};
 pub use record::Record;
 pub use slo::SloPolicy;
 pub use spans::{SpanGuard, SpanStat};

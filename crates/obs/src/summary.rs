@@ -35,7 +35,7 @@ fn fmt_count(n: u64) -> String {
 }
 
 /// Renders the summary table: span aggregates sorted by total time, then
-/// the nonzero counters/gauges, then histogram digests. Empty string when
+/// the nonzero counters/gauges, then latency quantiles. Empty string when
 /// nothing was recorded.
 pub fn summary_string() -> String {
     let mut out = String::new();
@@ -91,27 +91,6 @@ pub fn summary_string() -> String {
         }
         for g in gauges {
             let _ = writeln!(out, "{:<28} {:>12}", g.name(), g.get());
-        }
-    }
-
-    let hists: Vec<_> = metrics::histograms()
-        .iter()
-        .filter(|h| h.count() > 0)
-        .collect();
-    if !hists.is_empty() {
-        let _ = writeln!(
-            out,
-            "── histograms ─────────────────────────────────────────"
-        );
-        for h in hists {
-            let _ = writeln!(
-                out,
-                "{:<28} n={} mean={} max={}",
-                h.name(),
-                fmt_count(h.count()),
-                fmt_ns(h.mean() as u64),
-                fmt_ns(h.max())
-            );
         }
     }
 

@@ -7,40 +7,27 @@ use super::{Op, Tape, Var};
 impl Tape {
     /// Element-wise addition. Shapes must match.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        self.san_same_shape("add", a, b);
-        let v = self.value(a).add(self.value(b));
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::Add(a, b), ng)
+        self.record(Op::Add(a, b))
     }
 
     /// Element-wise subtraction `a - b`. Shapes must match.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        self.san_same_shape("sub", a, b);
-        let v = self.value(a).sub(self.value(b));
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::Sub(a, b), ng)
+        self.record(Op::Sub(a, b))
     }
 
     /// Element-wise (Hadamard) product. Shapes must match.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        self.san_same_shape("mul", a, b);
-        let v = self.value(a).hadamard(self.value(b));
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::Mul(a, b), ng)
+        self.record(Op::Mul(a, b))
     }
 
     /// Multiplies every element by the constant `c`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).scale(c);
-        let ng = self.needs(a);
-        self.push(v, Op::Scale(a, c), ng)
+        self.record(Op::Scale(a, c))
     }
 
     /// Adds the constant `c` to every element.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).map(|x| x + c);
-        let ng = self.needs(a);
-        self.push(v, Op::AddScalar(a, c), ng)
+        self.record(Op::AddScalar(a, c))
     }
 
     /// Negation (`scale` by −1).
@@ -50,75 +37,49 @@ impl Tape {
 
     /// Multiplies a matrix by a learnable `1 × 1` scalar variable.
     pub fn mul_scalar_var(&mut self, scalar: Var, matrix: Var) -> Var {
-        assert_eq!(
-            self.shape(scalar),
-            (1, 1),
-            "mul_scalar_var: scalar must be 1x1"
-        );
-        let s = self.value(scalar).scalar_value();
-        let v = self.value(matrix).scale(s);
-        let ng = self.needs(scalar) || self.needs(matrix);
-        self.push(v, Op::MulScalarVar { scalar, matrix }, ng)
+        self.record(Op::MulScalarVar { scalar, matrix })
     }
 
     /// Logistic sigmoid `1 / (1 + e^{-x})`.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
-        let ng = self.needs(a);
-        self.push(v, Op::Sigmoid(a), ng)
+        self.record(Op::Sigmoid(a))
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0));
-        let ng = self.needs(a);
-        self.push(v, Op::Relu(a), ng)
+        self.record(Op::Relu(a))
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let v = self.value(a).map(|x| if x > 0.0 { x } else { slope * x });
-        let ng = self.needs(a);
-        self.push(v, Op::LeakyRelu(a, slope), ng)
+        self.record(Op::LeakyRelu(a, slope))
     }
 
     /// Exponential linear unit `x > 0 ? x : α(e^x − 1)`.
     pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
-        let v = self
-            .value(a)
-            .map(|x| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) });
-        let ng = self.needs(a);
-        self.push(v, Op::Elu(a, alpha), ng)
+        self.record(Op::Elu(a, alpha))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::tanh);
-        let ng = self.needs(a);
-        self.push(v, Op::Tanh(a), ng)
+        self.record(Op::Tanh(a))
     }
 
     /// `sqrt(x + eps)`; `eps > 0` keeps the derivative finite at `x = 0`.
     pub fn sqrt_eps(&mut self, a: Var, eps: f32) -> Var {
         assert!(eps > 0.0, "sqrt_eps: eps must be positive");
-        let v = self.value(a).map(|x| (x + eps).sqrt());
-        let ng = self.needs(a);
-        self.push(v, Op::Sqrt(a, eps), ng)
+        self.record(Op::Sqrt(a, eps))
     }
 
     /// `ln(x + eps)`; `eps > 0` keeps the value and derivative finite at 0.
     pub fn log_eps(&mut self, a: Var, eps: f32) -> Var {
         assert!(eps > 0.0, "log_eps: eps must be positive");
-        let v = self.value(a).map(|x| (x + eps).ln());
-        let ng = self.needs(a);
-        self.push(v, Op::Log(a, eps), ng)
+        self.record(Op::Log(a, eps))
     }
 
     /// Element-wise exponential.
     pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::exp);
-        let ng = self.needs(a);
-        self.push(v, Op::Exp(a), ng)
+        self.record(Op::Exp(a))
     }
 
     /// Binary-entropy helper `−x·ln(x) − (1−x)·ln(1−x)` for mask
@@ -136,9 +97,7 @@ impl Tape {
 
     /// Element-wise absolute value.
     pub fn abs(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::abs);
-        let ng = self.needs(a);
-        self.push(v, Op::Abs(a), ng)
+        self.record(Op::Abs(a))
     }
 
     /// Applies a pre-sampled dropout mask (entries are `0` or `1/(1−p)`).
@@ -146,54 +105,17 @@ impl Tape {
     /// The caller samples the mask so that the tape stays deterministic and
     /// replayable; see [`crate::dropout_mask`].
     pub fn dropout(&mut self, a: Var, mask: Arc<Vec<f32>>) -> Var {
-        let val = self.value(a);
-        assert_eq!(mask.len(), val.len(), "dropout: mask length mismatch");
-        let mut v = val.clone_pooled();
-        for (x, &m) in v.as_mut_slice().iter_mut().zip(mask.iter()) {
-            *x *= m;
-        }
-        let ng = self.needs(a);
-        self.push(v, Op::Dropout { src: a, mask }, ng)
+        self.record(Op::Dropout { src: a, mask })
     }
 
     /// Row-broadcast bias addition: `(n × f) + (1 × f)`.
     pub fn add_row_broadcast(&mut self, matrix: Var, bias: Var) -> Var {
-        let (n, f) = self.shape(matrix);
-        assert_eq!(
-            self.shape(bias),
-            (1, f),
-            "add_row_broadcast: bias must be 1x{f}"
-        );
-        let mut v = self.value(matrix).clone_pooled();
-        let b = self.value(bias).as_slice().to_vec();
-        for i in 0..n {
-            let row = v.row_mut(i);
-            for j in 0..f {
-                row[j] += b[j];
-            }
-        }
-        let ng = self.needs(matrix) || self.needs(bias);
-        self.push(v, Op::AddRowBroadcast { matrix, bias }, ng)
+        self.record(Op::AddRowBroadcast { matrix, bias })
     }
 
     /// Column-broadcast scaling: `(n × f) * (n × 1)`.
     pub fn mul_col_broadcast(&mut self, matrix: Var, scaler: Var) -> Var {
-        let (n, f) = self.shape(matrix);
-        assert_eq!(
-            self.shape(scaler),
-            (n, 1),
-            "mul_col_broadcast: scaler must be {n}x1"
-        );
-        let mut v = self.value(matrix).clone_pooled();
-        let s = self.value(scaler).as_slice().to_vec();
-        for (i, &si) in s.iter().enumerate().take(n) {
-            let row = v.row_mut(i);
-            for x in row.iter_mut().take(f) {
-                *x *= si;
-            }
-        }
-        let ng = self.needs(matrix) || self.needs(scaler);
-        self.push(v, Op::MulColBroadcast { matrix, scaler }, ng)
+        self.record(Op::MulColBroadcast { matrix, scaler })
     }
 }
 

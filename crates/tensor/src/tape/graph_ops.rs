@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use super::{Op, Tape, Var};
 use crate::matrix::Matrix;
-use crate::sparse::{spmm, CsrStructure};
+use crate::sparse::CsrStructure;
 
 impl Tape {
     /// Sparse × dense product `A × dense` where the sparsity pattern comes
@@ -17,21 +17,11 @@ impl Tape {
     /// `∂L/∂v_p = ⟨∂L/∂out[r, :], dense[c, :]⟩`. The latter is what allows the
     /// SES structure mask (and GAT attention) to be trained end-to-end.
     pub fn spmm(&mut self, structure: Arc<CsrStructure>, values: Var, dense: Var) -> Var {
-        let (vn, vc) = self.shape(values);
-        assert_eq!(vc, 1, "spmm: values must be nnz x 1");
-        assert_eq!(vn, structure.nnz(), "spmm: values length must equal nnz");
-        self.san_spmm_dims("spmm", &structure, dense);
-        let v = spmm(&structure, self.value(values).as_slice(), self.value(dense));
-        let ng = self.needs(values) || self.needs(dense);
-        self.push(
-            v,
-            Op::Spmm {
-                structure,
-                values,
-                dense,
-            },
-            ng,
-        )
+        self.record(Op::Spmm {
+            structure,
+            values,
+            dense,
+        })
     }
 
     /// Convenience: sparse × dense with *fixed* values (records the values as
@@ -48,28 +38,9 @@ impl Tape {
     /// With rows as destination nodes this is exactly GAT's attention
     /// normalisation over incoming edges. Rows are processed in parallel by
     /// the [`crate::kernels::edge_softmax`] kernel (bit-identical at any
-    /// thread count); sanitizer checks run on the merged output as it is
-    /// pushed onto the tape.
+    /// thread count).
     pub fn edge_softmax(&mut self, structure: Arc<CsrStructure>, scores: Var) -> Var {
-        let (vn, vc) = self.shape(scores);
-        assert_eq!(vc, 1, "edge_softmax: scores must be nnz x 1");
-        assert_eq!(
-            vn,
-            structure.nnz(),
-            "edge_softmax: scores length must equal nnz"
-        );
-        let out = crate::kernels::edge_softmax(
-            &structure,
-            self.value(scores).as_slice(),
-            crate::par::configured_threads(),
-        );
-        let nnz = out.len();
-        let ng = self.needs(scores);
-        self.push(
-            Matrix::from_vec(nnz, 1, out),
-            Op::EdgeSoftmax { scores, structure },
-            ng,
-        )
+        self.record(Op::EdgeSoftmax { scores, structure })
     }
 }
 

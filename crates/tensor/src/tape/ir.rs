@@ -2,9 +2,9 @@
 //! static verifier (`ses-verify`) can check **without executing kernels**.
 //!
 //! The IR deliberately contains no values and no `Arc`s into live tensor
-//! storage — only op names, data-flow edges, declared shapes, and the
-//! side-channel metadata (sparse structure dims, gather indices, label
-//! ranges) that shape inference needs. This makes it equally suitable for
+//! storage — only typed op kinds, data-flow edges, declared shapes, and the
+//! side-channel metadata (leaf shapes, sparse structure dims, gather
+//! indices, label ranges) that the shape rule needs. This makes it equally suitable for
 //! two producers:
 //!
 //! 1. [`Tape::export_ir`] — snapshot of a real recorded tape;
@@ -12,14 +12,22 @@
 //!    the same node stream from shape arithmetic alone, so a model's wiring
 //!    can be verified in CI before any epoch runs.
 
-use super::{Op, Tape};
+use super::{Op, OpKind, Tape};
 
 /// Side-channel metadata a node carries beyond its parent edges, needed to
-/// statically recompute its output shape.
+/// statically recompute its output shape. [`Payload::meta`](super::Payload::meta) derives it from
+/// the payload it summarises.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IrMeta {
     /// No extra metadata.
     None,
+    /// Shape of a leaf's stored value.
+    Leaf {
+        /// Rows of the value.
+        rows: usize,
+        /// Columns of the value.
+        cols: usize,
+    },
     /// CSR structure dims for `spmm` / `edge_softmax`.
     Sparse {
         /// Rows of the sparse operand.
@@ -59,8 +67,8 @@ pub enum IrMeta {
 pub struct IrNode {
     /// Arena index — matches sanitizer diagnostics and leak reports.
     pub id: usize,
-    /// Op name as reported by sanitizer diagnostics (`add`, `matmul`, …).
-    pub op: String,
+    /// The op; `Display` gives the name sanitizer diagnostics report.
+    pub op: OpKind,
     /// Data-flow parents (tape indices), in operand order.
     pub parents: Vec<usize>,
     /// Declared output shape.
@@ -69,7 +77,7 @@ pub struct IrNode {
     pub needs_grad: bool,
     /// Whether a backward rule is registered for the op. Always true for
     /// nodes exported from a real tape (the backward dispatch match is
-    /// exhaustive over [`Op`]); dry-run traces may declare gaps.
+    /// exhaustive over the tape's ops); dry-run traces may declare gaps.
     pub has_backward: bool,
     /// Bit patterns of scalar op attributes (scale constants, eps, slopes),
     /// used for duplicate-subgraph detection.
@@ -97,108 +105,6 @@ impl TapeIr {
     }
 }
 
-/// Static execution metadata for a tape op, keyed by its IR name.
-///
-/// This is the contract the `ses-ir` rewrite passes rely on: an op may only
-/// be merged with (or substituted for) another node on value-number evidence
-/// alone when it is [`cse_safe`](OpInfo::cse_safe) — a pure function of its
-/// parent values and the scalar [`IrNode::params`] captured in the IR, with
-/// **no side-channel payload**. Payload-carrying ops (CSR structures, gather
-/// indices, label vectors, dropout masks) export only summaries into
-/// [`IrMeta`], so two nodes with identical IR footprints can still compute
-/// different values; rewrites must treat each such node as unique.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpInfo {
-    /// Number of tape parents the op consumes.
-    pub arity: usize,
-    /// Whether the output is a deterministic function of the parent values,
-    /// `params`, and the node's payload (false only for `leaf`, whose value
-    /// is stored data the IR never sees).
-    pub pure: bool,
-    /// Whether the op carries side-channel data beyond `params`/`parents`
-    /// that the IR only summarises (sparse structure contents, index lists,
-    /// labels, dropout masks).
-    pub has_payload: bool,
-}
-
-impl OpInfo {
-    /// True when two nodes with equal op name, `params`, `meta` and
-    /// value-equal parents provably compute the same value — the only
-    /// license for common-subexpression elimination.
-    pub fn cse_safe(&self) -> bool {
-        self.pure && !self.has_payload && self.arity > 0
-    }
-}
-
-/// Static metadata for a known op name, `None` for ops outside the registry.
-/// The registry covers exactly the ops [`Op::name`] can produce; `ses-verify`
-/// keeps its determinism registry aligned with this one by test.
-pub fn op_info(op: &str) -> Option<OpInfo> {
-    let info = |arity, pure, has_payload| OpInfo {
-        arity,
-        pure,
-        has_payload,
-    };
-    match op {
-        "leaf" => Some(info(0, false, true)),
-        // payload-free element-wise / structural unary ops
-        "scale" | "add_scalar" | "sigmoid" | "relu" | "leaky_relu" | "elu" | "tanh"
-        | "sqrt_eps" | "log_eps" | "exp" | "abs" | "log_softmax_rows" | "transpose" | "sum_all"
-        | "mean_all" | "row_sum" => Some(info(1, true, false)),
-        // payload-free binary ops
-        "add" | "sub" | "mul" | "mul_scalar_var" | "matmul" | "add_row_broadcast"
-        | "mul_col_broadcast" | "concat_cols" | "concat_rows" => Some(info(2, true, false)),
-        // payload-carrying ops: pure given their payload, but the payload is
-        // only summarised in IrMeta, so they are never CSE-safe
-        "spmm" => Some(info(2, true, true)),
-        "edge_softmax" | "gather_rows" | "nll_masked" | "dropout" => Some(info(1, true, true)),
-        _ => None,
-    }
-}
-
-impl Op {
-    /// Scalar attributes of the op as f32 bit patterns (for duplicate
-    /// detection — bitwise equality sidesteps NaN/−0 comparison pitfalls).
-    fn ir_params(&self) -> Vec<u32> {
-        match self {
-            Op::Scale(_, c) | Op::AddScalar(_, c) => vec![c.to_bits()],
-            Op::LeakyRelu(_, s) => vec![s.to_bits()],
-            Op::Elu(_, a) => vec![a.to_bits()],
-            Op::Sqrt(_, e) | Op::Log(_, e) => vec![e.to_bits()],
-            _ => Vec::new(),
-        }
-    }
-
-    /// Shape side-channel for ops whose output shape depends on more than
-    /// their parents' shapes.
-    fn ir_meta(&self) -> IrMeta {
-        match self {
-            Op::Spmm { structure, .. } => IrMeta::Sparse {
-                rows: structure.n_rows(),
-                cols: structure.n_cols(),
-                nnz: structure.nnz(),
-            },
-            Op::EdgeSoftmax { structure, .. } => IrMeta::Sparse {
-                rows: structure.n_rows(),
-                cols: structure.n_cols(),
-                nnz: structure.nnz(),
-            },
-            Op::GatherRows { idx, .. } => IrMeta::Gather {
-                idx_len: idx.len(),
-                idx_max: idx.iter().copied().max(),
-            },
-            Op::NllMasked { labels, idx, .. } => IrMeta::Nll {
-                labels_len: labels.len(),
-                idx_len: idx.len(),
-                idx_max: idx.iter().copied().max(),
-                label_max: idx.iter().map(|&i| labels[i]).max(),
-            },
-            Op::Dropout { mask, .. } => IrMeta::Mask { len: mask.len() },
-            _ => IrMeta::None,
-        }
-    }
-}
-
 impl Tape {
     /// Exports the recorded tape as plain-data IR for static verification.
     ///
@@ -213,17 +119,25 @@ impl Tape {
             .map(|(id, node)| {
                 let mut parents = Vec::new();
                 node.op.for_each_parent(|p| parents.push(p.0));
+                let (rows, cols) = node.value.shape();
+                let meta = match node.op.payload() {
+                    Some(p) => p.meta(),
+                    None if matches!(node.op, Op::Leaf) => IrMeta::Leaf { rows, cols },
+                    None => IrMeta::None,
+                };
                 IrNode {
                     id,
-                    op: node.op.name().to_string(),
+                    op: node.op.kind(),
                     parents,
-                    shape: node.value.shape(),
+                    shape: (rows, cols),
                     needs_grad: node.needs_grad,
                     // The backward dispatch in `backward.rs` matches
                     // exhaustively over `Op`, so every recorded op has a rule.
                     has_backward: true,
-                    params: node.op.ir_params(),
-                    meta: node.op.ir_meta(),
+                    // Scalar attributes as f32 bit patterns: bitwise equality
+                    // sidesteps NaN/−0 pitfalls in duplicate detection.
+                    params: node.op.param().map(f32::to_bits).into_iter().collect(),
+                    meta,
                 }
             })
             .collect();
@@ -248,35 +162,14 @@ mod tests {
         let loss = t.mean_all(s);
         let ir = t.export_ir();
         assert_eq!(ir.len(), 5);
-        assert_eq!(ir.nodes[2].op, "matmul");
+        assert_eq!(ir.nodes[2].op, OpKind::MatMul);
         assert_eq!(ir.nodes[2].parents, vec![a.index(), b.index()]);
         assert_eq!(ir.nodes[2].shape, (2, 2));
         assert!(ir.nodes[2].needs_grad);
         assert!(!ir.nodes[1].needs_grad);
         assert_eq!(ir.nodes[3].params, vec![2.0f32.to_bits()]);
         assert_eq!(ir.nodes[loss.index()].shape, (1, 1));
-    }
-
-    #[test]
-    fn op_info_matches_exported_arity() {
-        let mut t = Tape::new();
-        let s = Arc::new(CsrStructure::from_edges(3, 3, &[(0, 1), (2, 0)]));
-        let vals = t.leaf(Matrix::col_vec(&[1.0, 2.0]));
-        let x = t.leaf(Matrix::from_vec(3, 2, vec![1.0; 6]));
-        let y = t.spmm(s, vals, x);
-        let g = t.gather_rows(y, Arc::new(vec![2, 0]));
-        let r = t.relu(g);
-        let a = t.add(r, r);
-        let _ = t.mean_all(a);
-        for node in &t.export_ir().nodes {
-            let info = op_info(&node.op)
-                .unwrap_or_else(|| panic!("op `{}` missing from registry", node.op));
-            assert_eq!(info.arity, node.parents.len(), "op `{}`", node.op);
-        }
-        assert!(op_info("spmm").is_some_and(|i| !i.cse_safe()));
-        assert!(op_info("leaf").is_some_and(|i| !i.cse_safe()));
-        assert!(op_info("add").is_some_and(|i| i.cse_safe()));
-        assert!(op_info("no-such-op").is_none());
+        assert_eq!(ir.nodes[0].meta, IrMeta::Leaf { rows: 2, cols: 3 });
     }
 
     #[test]

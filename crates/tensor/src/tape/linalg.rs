@@ -8,42 +8,28 @@ use super::{Op, Tape, Var};
 impl Tape {
     /// Matrix product `a × b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        self.san_matmul_dims("matmul", a, b);
-        let v = self.value(a).matmul(self.value(b));
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::MatMul(a, b), ng)
+        self.record(Op::MatMul(a, b))
     }
 
     /// Transposed copy.
     pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.value(a).transpose();
-        let ng = self.needs(a);
-        self.push(v, Op::Transpose(a), ng)
+        self.record(Op::Transpose(a))
     }
 
     /// Gathers rows of `src` at `idx` (repetition allowed). The backward pass
     /// scatter-adds gradients back into the gathered rows.
     pub fn gather_rows(&mut self, src: Var, idx: Arc<Vec<usize>>) -> Var {
-        self.san_gather_bounds("gather_rows", src, &idx);
-        let v = self.value(src).gather_rows(&idx);
-        let ng = self.needs(src);
-        self.push(v, Op::GatherRows { src, idx }, ng)
+        self.record(Op::GatherRows { src, idx })
     }
 
     /// Horizontal concatenation `[a | b]`.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        self.san_rows_match("concat_cols", a, b);
-        let v = self.value(a).concat_cols(self.value(b));
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::ConcatCols(a, b), ng)
+        self.record(Op::ConcatCols(a, b))
     }
 
     /// Vertical concatenation (stacks `b` below `a`).
     pub fn concat_rows(&mut self, a: Var, b: Var) -> Var {
-        self.san_cols_match("concat_rows", a, b);
-        let v = self.value(a).concat_rows(self.value(b));
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::ConcatRows(a, b), ng)
+        self.record(Op::ConcatRows(a, b))
     }
 
     /// `x Wᵀ`-style affine layer helper: `x × w + bias` (bias row-broadcast).

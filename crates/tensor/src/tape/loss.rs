@@ -2,48 +2,24 @@
 
 use std::sync::Arc;
 
-use super::{Op, Tape, Var};
+use super::{Op, OpKind, Tape, Var};
 use crate::matrix::Matrix;
 
 impl Tape {
     /// Row-wise log-softmax (numerically stabilised by the row max).
     pub fn log_softmax_rows(&mut self, a: Var) -> Var {
-        let x = self.value(a);
-        let (n, c) = x.shape();
-        let mut out = Matrix::zeros_pooled(n, c);
-        for i in 0..n {
-            let row = x.row(i);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let logsum = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
-            let o = out.row_mut(i);
-            for j in 0..c {
-                o[j] = row[j] - logsum;
-            }
-        }
-        let ng = self.needs(a);
-        self.push(out, Op::LogSoftmaxRows(a), ng)
+        self.record(Op::LogSoftmaxRows(a))
     }
 
     /// Mean negative log-likelihood of `labels` over the rows listed in
     /// `idx`, taking row-wise **log-probabilities** as input. Returns `1 × 1`.
+    /// `idx` must be non-empty, `labels` must have one entry per row, and
+    /// every listed row's label must be a valid column.
     ///
     /// This is the cross-entropy loss of Eq. (6)/(8) in the paper, restricted
     /// to the labelled node set.
     pub fn nll_masked(&mut self, logp: Var, labels: Arc<Vec<usize>>, idx: Arc<Vec<usize>>) -> Var {
-        assert!(!idx.is_empty(), "nll_masked: empty index set");
-        let lp = self.value(logp);
-        let (n, c) = lp.shape();
-        assert_eq!(labels.len(), n, "nll_masked: labels length must equal rows");
-        let mut acc = 0.0;
-        for &i in idx.iter() {
-            assert!(i < n, "nll_masked: index {i} out of bounds");
-            let y = labels[i];
-            assert!(y < c, "nll_masked: label {y} out of bounds for {c} classes");
-            acc -= lp[(i, y)];
-        }
-        let v = Matrix::scalar(acc / idx.len() as f32);
-        let ng = self.needs(logp);
-        self.push(v, Op::NllMasked { logp, labels, idx }, ng)
+        self.record(Op::NllMasked { logp, labels, idx })
     }
 
     /// Cross-entropy (log-softmax + masked NLL) of logits against `labels`
@@ -67,7 +43,7 @@ impl Tape {
             target.shape(),
             "l1_to_constant: shape mismatch"
         );
-        self.san_forward_finite(&Op::Leaf, target);
+        self.san_forward_finite(OpKind::Leaf, target);
         let t = self.constant(target.clone());
         let d = self.sub(a, t);
         let ad = self.abs(d);

@@ -10,9 +10,12 @@
 //!   copied per epoch;
 //! * gradients are allocated lazily: constants (inputs, adjacency) never
 //!   receive a gradient buffer;
-//! * a [sanitizer](sanitize) validates operand shapes, finiteness of forward
-//!   values and gradients, and reports leaked nodes — always on in debug
-//!   builds, opt-in via `SES_SANITIZE=1` in release (see `docs/CORRECTNESS.md`).
+//! * every op is recorded through the [op table](op): its operand shapes
+//!   are checked against the op's shape rule in every build, then its one
+//!   forward body runs;
+//! * a [sanitizer](sanitize) checks finiteness of forward values and
+//!   gradients and reports leaked nodes — always on in debug builds, opt-in
+//!   via `SES_SANITIZE=1` in release (see `docs/CORRECTNESS.md`).
 
 mod backward;
 mod elementwise;
@@ -20,11 +23,13 @@ mod graph_ops;
 mod ir;
 mod linalg;
 mod loss;
+mod op;
 mod reduce;
 mod sanitize;
 
 pub use elementwise::dropout_mask;
-pub use ir::{op_info, IrMeta, IrNode, OpInfo, TapeIr};
+pub use ir::{IrMeta, IrNode, TapeIr};
+pub use op::{forward, infer_shape, DetClass, OpKind, Payload, Shape, ShapeError};
 pub use sanitize::{sanitize_enabled, Leak, LeakBudget, LeakKind};
 
 use std::sync::Arc;
@@ -44,40 +49,31 @@ impl Var {
     }
 }
 
-/// Recorded operation. Each variant stores the parent [`Var`]s plus whatever
-/// forward-pass data the backward pass needs.
-///
-/// Some scalar fields (e.g. the constant in `AddScalar`) are not needed by
-/// the backward rule but are kept for `Debug` introspection of tapes.
+/// Recorded operation: one variant per [`OpKind`] (documented there),
+/// holding the parent [`Var`]s, the scalar parameter and the payload that
+/// the forward body and the backward rule read.
 #[derive(Debug, Clone)]
-#[allow(dead_code)]
 pub(crate) enum Op {
-    /// Input with no parents (constant or parameter).
     Leaf,
     Add(Var, Var),
     Sub(Var, Var),
-    /// Element-wise (Hadamard) product.
     Mul(Var, Var),
     Scale(Var, f32),
     AddScalar(Var, f32),
-    /// `matrix * scalar_var` where the scalar is a `1 × 1` variable.
     MulScalarVar {
         scalar: Var,
         matrix: Var,
     },
     MatMul(Var, Var),
     Transpose(Var),
-    /// `(n × f) + (1 × f)` row-broadcast bias addition.
     AddRowBroadcast {
         matrix: Var,
         bias: Var,
     },
-    /// `(n × f) * (n × 1)` column-broadcast scaling.
     MulColBroadcast {
         matrix: Var,
         scaler: Var,
     },
-    /// Sparse × dense product; `values` is an `nnz × 1` variable.
     Spmm {
         structure: Arc<CsrStructure>,
         values: Var,
@@ -88,23 +84,16 @@ pub(crate) enum Op {
     LeakyRelu(Var, f32),
     Elu(Var, f32),
     Tanh(Var),
-    /// `sqrt(x + eps)` (eps keeps the gradient finite at zero).
     Sqrt(Var, f32),
-    /// `ln(x + eps)` (eps keeps the gradient finite at zero).
     Log(Var, f32),
-    /// Element-wise exponential.
     Exp(Var),
     Abs(Var),
-    /// Row-wise log-softmax.
     LogSoftmaxRows(Var),
-    /// Mean negative log-likelihood over the rows listed in `idx`.
     NllMasked {
         logp: Var,
         labels: Arc<Vec<usize>>,
         idx: Arc<Vec<usize>>,
     },
-    /// Per-row (destination-segment) softmax over CSR entries;
-    /// `scores` is `nnz × 1`.
     EdgeSoftmax {
         scores: Var,
         structure: Arc<CsrStructure>,
@@ -117,13 +106,134 @@ pub(crate) enum Op {
     ConcatRows(Var, Var),
     SumAll(Var),
     MeanAll(Var),
-    /// `n × f → n × 1` row sums.
     RowSum(Var),
-    /// Element-wise multiply by a fixed (pre-sampled) dropout mask.
     Dropout {
         src: Var,
         mask: Arc<Vec<f32>>,
     },
+}
+
+impl Op {
+    /// The op's row in the op table.
+    pub(crate) fn kind(&self) -> OpKind {
+        match self {
+            Op::Leaf => OpKind::Leaf,
+            Op::Add(..) => OpKind::Add,
+            Op::Sub(..) => OpKind::Sub,
+            Op::Mul(..) => OpKind::Mul,
+            Op::Scale(..) => OpKind::Scale,
+            Op::AddScalar(..) => OpKind::AddScalar,
+            Op::MulScalarVar { .. } => OpKind::MulScalarVar,
+            Op::MatMul(..) => OpKind::MatMul,
+            Op::Transpose(..) => OpKind::Transpose,
+            Op::AddRowBroadcast { .. } => OpKind::AddRowBroadcast,
+            Op::MulColBroadcast { .. } => OpKind::MulColBroadcast,
+            Op::Spmm { .. } => OpKind::Spmm,
+            Op::Sigmoid(..) => OpKind::Sigmoid,
+            Op::Relu(..) => OpKind::Relu,
+            Op::LeakyRelu(..) => OpKind::LeakyRelu,
+            Op::Elu(..) => OpKind::Elu,
+            Op::Tanh(..) => OpKind::Tanh,
+            Op::Sqrt(..) => OpKind::SqrtEps,
+            Op::Log(..) => OpKind::LogEps,
+            Op::Exp(..) => OpKind::Exp,
+            Op::Abs(..) => OpKind::Abs,
+            Op::LogSoftmaxRows(..) => OpKind::LogSoftmaxRows,
+            Op::NllMasked { .. } => OpKind::NllMasked,
+            Op::EdgeSoftmax { .. } => OpKind::EdgeSoftmax,
+            Op::GatherRows { .. } => OpKind::GatherRows,
+            Op::ConcatCols(..) => OpKind::ConcatCols,
+            Op::ConcatRows(..) => OpKind::ConcatRows,
+            Op::SumAll(..) => OpKind::SumAll,
+            Op::MeanAll(..) => OpKind::MeanAll,
+            Op::RowSum(..) => OpKind::RowSum,
+            Op::Dropout { .. } => OpKind::Dropout,
+        }
+    }
+
+    /// The tape parents in operand order: the first `n` entries of the
+    /// returned array (data-flow edges only — payloads are not parents).
+    pub(crate) fn parents(&self) -> ([Var; 2], usize) {
+        match *self {
+            Op::Leaf => ([Var(0); 2], 0),
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::MatMul(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::ConcatRows(a, b)
+            | Op::MulScalarVar {
+                scalar: a,
+                matrix: b,
+            }
+            | Op::AddRowBroadcast { matrix: a, bias: b }
+            | Op::MulColBroadcast {
+                matrix: a,
+                scaler: b,
+            }
+            | Op::Spmm {
+                values: a,
+                dense: b,
+                ..
+            } => ([a, b], 2),
+            Op::Scale(a, _)
+            | Op::AddScalar(a, _)
+            | Op::Transpose(a)
+            | Op::Sigmoid(a)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Elu(a, _)
+            | Op::Tanh(a)
+            | Op::Sqrt(a, _)
+            | Op::Log(a, _)
+            | Op::Exp(a)
+            | Op::Abs(a)
+            | Op::LogSoftmaxRows(a)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::RowSum(a)
+            | Op::NllMasked { logp: a, .. }
+            | Op::EdgeSoftmax { scores: a, .. }
+            | Op::GatherRows { src: a, .. }
+            | Op::Dropout { src: a, .. } => ([a, a], 1),
+        }
+    }
+
+    /// Visits every tape parent of this op, in operand order.
+    pub(crate) fn for_each_parent(&self, f: impl FnMut(Var)) {
+        let (parents, n) = self.parents();
+        parents[..n].iter().copied().for_each(f);
+    }
+
+    /// The op's scalar attribute, for kinds that [have one](OpKind::has_param).
+    pub(crate) fn param(&self) -> Option<f32> {
+        match *self {
+            Op::Scale(_, c)
+            | Op::AddScalar(_, c)
+            | Op::LeakyRelu(_, c)
+            | Op::Elu(_, c)
+            | Op::Sqrt(_, c)
+            | Op::Log(_, c) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// The op's side-channel data (a leaf's value lives on its node, not
+    /// here, so leaves return `None`).
+    pub(crate) fn payload(&self) -> Option<Payload> {
+        match self {
+            Op::Spmm { structure, .. } | Op::EdgeSoftmax { structure, .. } => {
+                Some(Payload::Sparse(Arc::clone(structure)))
+            }
+            Op::GatherRows { idx, .. } => Some(Payload::Gather(Arc::clone(idx))),
+            Op::NllMasked { labels, idx, .. } => Some(Payload::Nll {
+                labels: Arc::clone(labels),
+                idx: Arc::clone(idx),
+            }),
+            Op::Dropout { mask, .. } => Some(Payload::Mask(Arc::clone(mask))),
+            _ => None,
+        }
+    }
 }
 
 pub(crate) struct Node {
@@ -163,6 +273,7 @@ impl Tape {
     }
 
     /// Records a constant (no gradient will be computed for it).
+    // lint:allow(gradcheck-coverage): records a leaf, which has no backward rule to check
     pub fn constant(&mut self, value: Matrix) -> Var {
         self.push(value, Op::Leaf, false)
     }
@@ -194,8 +305,35 @@ impl Tape {
         self.nodes[v.0].value.shape()
     }
 
+    /// Records `op`: checks its operand shapes against the op's shape rule
+    /// (in every build), runs its forward body and pushes the result. A
+    /// rule violation panics with `SES_SANITIZE[<op>]: <rule>`, naming the
+    /// offending nodes, before any kernel runs.
+    pub(crate) fn record(&mut self, op: Op) -> Var {
+        let kind = op.kind();
+        let (ids, n) = op.parents();
+        let parents = &ids[..n];
+        let payload = op.payload();
+        let meta = payload.as_ref().map_or(IrMeta::None, Payload::meta);
+        let shapes = ids.map(|p| self.shape(p));
+        if let Err(e) = infer_shape(kind, &shapes[..n], &meta) {
+            let ids = ids.map(|p| p.0);
+            // lint:allow(no-unwrap): shape-rule diagnostics are deliberate panics
+            panic!("SES_SANITIZE[{kind}]: {}", e.describe(&ids[..n]));
+        }
+        let args = ids.map(|p| self.value(p));
+        let value = forward(
+            kind,
+            &args[..n],
+            op.param().unwrap_or(0.0),
+            payload.as_ref(),
+        );
+        let needs_grad = parents.iter().any(|&p| self.needs(p));
+        self.push(value, op, needs_grad)
+    }
+
     pub(crate) fn push(&mut self, value: Matrix, op: Op, needs_grad: bool) -> Var {
-        self.san_forward_finite(&op, &value);
+        self.san_forward_finite(op.kind(), &value);
         self.nodes.push(Node {
             value,
             grad: None,
@@ -233,6 +371,7 @@ impl Tape {
     /// elementwise results are then served from the pool instead of the
     /// allocator — this is what makes per-epoch tape allocation churn
     /// converge to ~zero in steady state.
+    // lint:allow(gradcheck-coverage): clears the arena; records no op
     pub fn reset(&mut self) {
         for node in self.nodes.drain(..) {
             node.value.recycle();

@@ -1,35 +1,27 @@
 //! Reductions: full sums/means and per-row sums.
 
 use super::{Op, Tape, Var};
-use crate::matrix::Matrix;
 
 impl Tape {
     /// Sum of all elements into a `1 × 1` scalar.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = Matrix::scalar(self.value(a).sum());
-        let ng = self.needs(a);
-        self.push(v, Op::SumAll(a), ng)
+        self.record(Op::SumAll(a))
     }
 
     /// Mean of all elements into a `1 × 1` scalar.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = Matrix::scalar(self.value(a).mean());
-        let ng = self.needs(a);
-        self.push(v, Op::MeanAll(a), ng)
+        self.record(Op::MeanAll(a))
     }
 
     /// Per-row sums: `n × f → n × 1`.
     pub fn row_sum(&mut self, a: Var) -> Var {
-        let v = self.value(a).row_sums();
-        let ng = self.needs(a);
-        self.push(v, Op::RowSum(a), ng)
+        self.record(Op::RowSum(a))
     }
 
     /// Row-wise Euclidean distance between two equally shaped matrices:
     /// `out[i] = ||a[i, :] − b[i, :]||₂` (with a small epsilon inside the
     /// square root for gradient stability). Returns `n × 1`.
     pub fn row_l2_distance(&mut self, a: Var, b: Var) -> Var {
-        self.san_same_shape("row_l2_distance", a, b);
         let d = self.sub(a, b);
         let sq = self.mul(d, d);
         let s = self.row_sum(sq);
@@ -40,6 +32,7 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
 
     #[test]
     fn sum_and_mean() {

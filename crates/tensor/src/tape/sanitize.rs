@@ -1,16 +1,17 @@
-//! Tape sanitizer: runtime validation of autodiff invariants.
+//! Tape sanitizer: runtime validation of autodiff values.
 //!
-//! Three families of checks, all reporting the offending **op name** and
+//! Two families of checks, both reporting the offending **op name** and
 //! **node id** so a diagnostic points at the exact tape operation:
 //!
-//! 1. **Operand shapes** are validated at op registration (before the forward
-//!    kernel runs), so a mismatched `add` fails as `add`, not as an opaque
-//!    index panic deep inside a matrix kernel.
-//! 2. **Non-finite forward values** (NaN/±Inf) are caught as the node is
+//! 1. **Non-finite forward values** (NaN/±Inf) are caught as the node is
 //!    pushed onto the tape.
-//! 3. **Non-finite gradients** are caught during the backward sweep, naming
+//! 2. **Non-finite gradients** are caught during the backward sweep, naming
 //!    the op whose backward rule produced them; after the sweep, tape nodes
 //!    whose gradients were never produced or consumed are reported as leaks.
+//!
+//! Operand shapes are not the sanitizer's business: every op is checked
+//! against its shape rule as it is recorded, in every build (see the
+//! [op table](super::op)).
 //!
 //! # Activation
 //!
@@ -27,9 +28,8 @@
 
 use std::sync::OnceLock;
 
-use super::{Op, Tape, Var};
+use super::{OpKind, Tape, Var};
 use crate::matrix::Matrix;
-use crate::sparse::CsrStructure;
 
 /// True when the sanitizer is active for this process (see module docs).
 pub fn sanitize_enabled() -> bool {
@@ -54,98 +54,6 @@ fn sanitize_explicit() -> bool {
             .map(|v| !(v == "0" || v.eq_ignore_ascii_case("off")))
             .unwrap_or(false)
     })
-}
-
-impl Op {
-    /// The user-facing name of the tape method that records this op.
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Op::Leaf => "leaf",
-            Op::Add(..) => "add",
-            Op::Sub(..) => "sub",
-            Op::Mul(..) => "mul",
-            Op::Scale(..) => "scale",
-            Op::AddScalar(..) => "add_scalar",
-            Op::MulScalarVar { .. } => "mul_scalar_var",
-            Op::MatMul(..) => "matmul",
-            Op::Transpose(..) => "transpose",
-            Op::AddRowBroadcast { .. } => "add_row_broadcast",
-            Op::MulColBroadcast { .. } => "mul_col_broadcast",
-            Op::Spmm { .. } => "spmm",
-            Op::Sigmoid(..) => "sigmoid",
-            Op::Relu(..) => "relu",
-            Op::LeakyRelu(..) => "leaky_relu",
-            Op::Elu(..) => "elu",
-            Op::Tanh(..) => "tanh",
-            Op::Sqrt(..) => "sqrt_eps",
-            Op::Log(..) => "log_eps",
-            Op::Exp(..) => "exp",
-            Op::Abs(..) => "abs",
-            Op::LogSoftmaxRows(..) => "log_softmax_rows",
-            Op::NllMasked { .. } => "nll_masked",
-            Op::EdgeSoftmax { .. } => "edge_softmax",
-            Op::GatherRows { .. } => "gather_rows",
-            Op::ConcatCols(..) => "concat_cols",
-            Op::ConcatRows(..) => "concat_rows",
-            Op::SumAll(..) => "sum_all",
-            Op::MeanAll(..) => "mean_all",
-            Op::RowSum(..) => "row_sum",
-            Op::Dropout { .. } => "dropout",
-        }
-    }
-
-    /// Visits every tape parent of this op (data-flow edges only — constant
-    /// payloads like label vectors and dropout masks are not parents).
-    pub(crate) fn for_each_parent(&self, mut f: impl FnMut(Var)) {
-        match self {
-            Op::Leaf => {}
-            Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
-            | Op::MatMul(a, b)
-            | Op::ConcatCols(a, b)
-            | Op::ConcatRows(a, b) => {
-                f(*a);
-                f(*b);
-            }
-            Op::Scale(a, _)
-            | Op::AddScalar(a, _)
-            | Op::Transpose(a)
-            | Op::Sigmoid(a)
-            | Op::Relu(a)
-            | Op::LeakyRelu(a, _)
-            | Op::Elu(a, _)
-            | Op::Tanh(a)
-            | Op::Sqrt(a, _)
-            | Op::Log(a, _)
-            | Op::Exp(a)
-            | Op::Abs(a)
-            | Op::LogSoftmaxRows(a)
-            | Op::SumAll(a)
-            | Op::MeanAll(a)
-            | Op::RowSum(a) => f(*a),
-            Op::MulScalarVar { scalar, matrix } => {
-                f(*scalar);
-                f(*matrix);
-            }
-            Op::AddRowBroadcast { matrix, bias } => {
-                f(*matrix);
-                f(*bias);
-            }
-            Op::MulColBroadcast { matrix, scaler } => {
-                f(*matrix);
-                f(*scaler);
-            }
-            Op::Spmm { values, dense, .. } => {
-                f(*values);
-                f(*dense);
-            }
-            Op::NllMasked { logp, .. } => f(*logp),
-            Op::EdgeSoftmax { scores, .. } => f(*scores),
-            Op::GatherRows { src, .. } => f(*src),
-            Op::Dropout { src, .. } => f(*src),
-        }
-    }
 }
 
 /// One leaked tape node found by [`Tape::leaked_nodes`].
@@ -240,92 +148,9 @@ impl Tape {
         ))
     }
 
-    /// Shape-mismatch check for element-wise binary ops.
-    pub(crate) fn san_same_shape(&self, op: &'static str, a: Var, b: Var) {
-        if !sanitize_enabled() {
-            return;
-        }
-        let (sa, sb) = (self.shape(a), self.shape(b));
-        assert_eq!(
-            sa, sb,
-            "SES_SANITIZE[{op}]: operand shape mismatch: node {} is {}x{} but node {} is {}x{}",
-            a.0, sa.0, sa.1, b.0, sb.0, sb.1
-        );
-    }
-
-    /// Inner-dimension check for `a × b` matrix products.
-    pub(crate) fn san_matmul_dims(&self, op: &'static str, a: Var, b: Var) {
-        if !sanitize_enabled() {
-            return;
-        }
-        let (sa, sb) = (self.shape(a), self.shape(b));
-        assert_eq!(
-            sa.1, sb.0,
-            "SES_SANITIZE[{op}]: inner dimensions disagree: node {} is {}x{} but node {} is {}x{}",
-            a.0, sa.0, sa.1, b.0, sb.0, sb.1
-        );
-    }
-
-    /// Row-count agreement (for column-wise concatenation).
-    pub(crate) fn san_rows_match(&self, op: &'static str, a: Var, b: Var) {
-        if !sanitize_enabled() {
-            return;
-        }
-        let (sa, sb) = (self.shape(a), self.shape(b));
-        assert_eq!(
-            sa.0, sb.0,
-            "SES_SANITIZE[{op}]: row counts disagree: node {} is {}x{} but node {} is {}x{}",
-            a.0, sa.0, sa.1, b.0, sb.0, sb.1
-        );
-    }
-
-    /// Column-count agreement (for row-wise concatenation).
-    pub(crate) fn san_cols_match(&self, op: &'static str, a: Var, b: Var) {
-        if !sanitize_enabled() {
-            return;
-        }
-        let (sa, sb) = (self.shape(a), self.shape(b));
-        assert_eq!(
-            sa.1, sb.1,
-            "SES_SANITIZE[{op}]: column counts disagree: node {} is {}x{} but node {} is {}x{}",
-            a.0, sa.0, sa.1, b.0, sb.0, sb.1
-        );
-    }
-
-    /// Dense-operand dimension check for sparse × dense products.
-    pub(crate) fn san_spmm_dims(&self, op: &'static str, structure: &CsrStructure, dense: Var) {
-        if !sanitize_enabled() {
-            return;
-        }
-        let (dn, dc) = self.shape(dense);
-        assert_eq!(
-            dn,
-            structure.n_cols(),
-            "SES_SANITIZE[{op}]: dense operand node {} is {dn}x{dc} but the sparse \
-             structure has {} columns",
-            dense.0,
-            structure.n_cols()
-        );
-    }
-
-    /// Index-bounds check for row gathers.
-    pub(crate) fn san_gather_bounds(&self, op: &'static str, src: Var, idx: &[usize]) {
-        if !sanitize_enabled() {
-            return;
-        }
-        let n = self.shape(src).0;
-        if let Some(&bad) = idx.iter().find(|&&i| i >= n) {
-            // lint:allow(no-unwrap): sanitizer diagnostics are deliberate panics
-            panic!(
-                "SES_SANITIZE[{op}]: gather index {bad} out of bounds for node {} with {n} rows",
-                src.0
-            );
-        }
-    }
-
     /// NaN/Inf check on a freshly computed forward value, run by
     /// [`Tape::push`] before the node lands on the tape.
-    pub(crate) fn san_forward_finite(&self, op: &Op, value: &Matrix) {
+    pub(crate) fn san_forward_finite(&self, op: OpKind, value: &Matrix) {
         if !sanitize_enabled() {
             return;
         }
@@ -335,8 +160,7 @@ impl Tape {
         }
         assert!(
             finite,
-            "SES_SANITIZE[{}]: non-finite forward value at node {} ({}x{})",
-            op.name(),
+            "SES_SANITIZE[{op}]: non-finite forward value at node {} ({}x{})",
             self.nodes.len(),
             value.rows(),
             value.cols()
@@ -357,7 +181,7 @@ impl Tape {
             finite,
             "SES_SANITIZE[{}]: non-finite gradient from backward of node {producer} \
              into node {}",
-            self.nodes[producer].op.name(),
+            self.nodes[producer].op.kind(),
             parent.0
         );
     }
@@ -406,7 +230,7 @@ impl Tape {
             };
             leaks.push(Leak {
                 node: i,
-                op: node.op.name(),
+                op: node.op.kind().name(),
                 kind,
             });
         }

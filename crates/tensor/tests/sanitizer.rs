@@ -1,8 +1,9 @@
-//! Sanitizer self-tests: inject the failures the sanitizer exists to catch
-//! (NaN forward values, operand shape mismatches, out-of-bounds gathers,
-//! leaked tape nodes) and assert the diagnostic names the offending op.
+//! Sanitizer self-tests: inject the failures the tape must catch (NaN
+//! forward values, operand shape mismatches, out-of-bounds gathers, leaked
+//! tape nodes) and assert the diagnostic names the offending op.
 //!
-//! These run wherever the sanitizer is active (always under
+//! Shape checks run in every build, so their tests always run. The NaN
+//! tests run wherever the sanitizer is active (always under
 //! `debug_assertions`, or with `SES_SANITIZE=1` in release) and no-op
 //! otherwise, so `cargo test --release` without the env var stays green.
 
@@ -44,9 +45,6 @@ fn injected_nan_names_the_op() {
 
 #[test]
 fn shape_mismatch_names_the_op() {
-    if !sanitize_enabled() {
-        return;
-    }
     let msg = panic_message(|| {
         let mut t = Tape::new();
         let a = t.leaf(Matrix::zeros(2, 2));
@@ -62,9 +60,6 @@ fn shape_mismatch_names_the_op() {
 
 #[test]
 fn matmul_inner_dim_mismatch_names_the_op() {
-    if !sanitize_enabled() {
-        return;
-    }
     let msg = panic_message(|| {
         let mut t = Tape::new();
         let a = t.leaf(Matrix::zeros(2, 3));
@@ -77,9 +72,6 @@ fn matmul_inner_dim_mismatch_names_the_op() {
 
 #[test]
 fn gather_out_of_bounds_names_the_op() {
-    if !sanitize_enabled() {
-        return;
-    }
     let msg = panic_message(|| {
         let mut t = Tape::new();
         let a = t.leaf(Matrix::zeros(3, 2));
@@ -121,9 +113,6 @@ fn parallel_spmm_nan_names_the_op() {
 
 #[test]
 fn parallel_matmul_shape_mismatch_names_the_op() {
-    if !sanitize_enabled() {
-        return;
-    }
     // Shape validation happens before the parallel kernel runs; a thread
     // override must not bypass it.
     ses_tensor::par::set_thread_override(4);

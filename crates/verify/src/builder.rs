@@ -1,20 +1,18 @@
 //! Dry-run trace builder: records a [`TapeIr`] from shape arithmetic alone.
 //!
 //! [`IrBuilder`] mirrors the `Tape` recording API at the IR level — same op
-//! names, same operand order, same needs-grad propagation — but never
+//! kinds, same operand order, same needs-grad propagation — but never
 //! allocates a matrix or executes a kernel. A model's wiring can therefore
 //! be traced and [`verify_tape`](crate::tape_check::verify_tape)'d in CI in
 //! microseconds, before any data exists.
 //!
-//! Checked constructors ([`IrBuilder::unary`]/[`IrBuilder::binary`]/the
-//! sparse helpers) run shape inference at build time and refuse impossible
-//! traces; [`IrBuilder::raw`] bypasses every check so tests and seeded-defect
-//! fixtures can construct exactly the malformed tapes the verifier must
-//! catch.
+//! The checked constructor [`IrBuilder::op`] (and its payload-free
+//! shorthands [`IrBuilder::unary`]/[`IrBuilder::binary`]) runs the op's
+//! shape rule at build time and refuses impossible traces; [`IrBuilder::raw`]
+//! bypasses every check so tests and seeded-defect fixtures can construct
+//! exactly the malformed tapes the verifier must catch.
 
-use ses_tensor::{IrMeta, IrNode, TapeIr};
-
-use crate::tape_check::infer_shape;
+use ses_tensor::{infer_shape, IrMeta, IrNode, OpKind, TapeIr};
 
 /// Builds a [`TapeIr`] node by node. See the module docs.
 #[derive(Debug, Default)]
@@ -40,7 +38,7 @@ impl IrBuilder {
 
     fn push(
         &mut self,
-        op: &str,
+        op: OpKind,
         parents: Vec<usize>,
         shape: (usize, usize),
         needs_grad: bool,
@@ -50,7 +48,7 @@ impl IrBuilder {
         let id = self.nodes.len();
         self.nodes.push(IrNode {
             id,
-            op: op.to_string(),
+            op,
             parents,
             shape,
             needs_grad,
@@ -63,108 +61,44 @@ impl IrBuilder {
 
     /// Records a trainable parameter leaf.
     pub fn leaf(&mut self, rows: usize, cols: usize) -> usize {
-        self.push("leaf", Vec::new(), (rows, cols), true, true, IrMeta::None)
+        let meta = IrMeta::Leaf { rows, cols };
+        self.push(OpKind::Leaf, Vec::new(), (rows, cols), true, true, meta)
     }
 
     /// Records a constant leaf (no gradient).
     pub fn constant(&mut self, rows: usize, cols: usize) -> usize {
-        self.push("leaf", Vec::new(), (rows, cols), false, true, IrMeta::None)
+        let meta = IrMeta::Leaf { rows, cols };
+        self.push(OpKind::Leaf, Vec::new(), (rows, cols), false, true, meta)
     }
 
-    fn checked(&mut self, op: &str, parents: Vec<usize>, meta: IrMeta) -> Result<usize, String> {
+    /// Records a shape-checked op over `parents` with side channel `meta`
+    /// (the payload summary for `spmm`, `gather_rows`, `dropout`, …;
+    /// [`IrMeta::None`] for payload-free ops).
+    pub fn op(&mut self, op: OpKind, parents: &[usize], meta: IrMeta) -> Result<usize, String> {
         let mut pshapes = Vec::with_capacity(parents.len());
-        for &p in &parents {
+        for &p in parents {
             let node = self
                 .nodes
                 .get(p)
                 .ok_or_else(|| format!("`{op}`: parent {p} not recorded yet"))?;
             pshapes.push(node.shape);
         }
-        let shape = infer_shape(op, &pshapes, &meta)?;
+        let shape = infer_shape(op, &pshapes, &meta)
+            .map_err(|e| format!("`{op}`: {}", e.describe(parents)))?;
         let needs_grad = parents.iter().any(|&p| self.nodes[p].needs_grad);
-        Ok(self.push(op, parents, shape, needs_grad, true, meta))
+        Ok(self.push(op, parents.to_vec(), shape, needs_grad, true, meta))
     }
 
-    /// Records a shape-checked single-operand op (`relu`, `mean_all`, …).
-    pub fn unary(&mut self, op: &str, a: usize) -> Result<usize, String> {
-        self.checked(op, vec![a], IrMeta::None)
+    /// Records a shape-checked single-operand, payload-free op (`relu`,
+    /// `mean_all`, …).
+    pub fn unary(&mut self, op: OpKind, a: usize) -> Result<usize, String> {
+        self.op(op, &[a], IrMeta::None)
     }
 
-    /// Records a shape-checked two-operand op (`add`, `matmul`, …).
-    pub fn binary(&mut self, op: &str, a: usize, b: usize) -> Result<usize, String> {
-        self.checked(op, vec![a, b], IrMeta::None)
-    }
-
-    /// Records a sparse×dense product over an `rows×cols` CSR structure with
-    /// `nnz` stored entries.
-    pub fn spmm(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        nnz: usize,
-        values: usize,
-        dense: usize,
-    ) -> Result<usize, String> {
-        self.checked(
-            "spmm",
-            vec![values, dense],
-            IrMeta::Sparse { rows, cols, nnz },
-        )
-    }
-
-    /// Records a per-destination edge softmax over the same structure shape.
-    pub fn edge_softmax(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        nnz: usize,
-        scores: usize,
-    ) -> Result<usize, String> {
-        self.checked(
-            "edge_softmax",
-            vec![scores],
-            IrMeta::Sparse { rows, cols, nnz },
-        )
-    }
-
-    /// Records a row gather of `idx_len` rows with maximum index `idx_max`.
-    pub fn gather_rows(
-        &mut self,
-        src: usize,
-        idx_len: usize,
-        idx_max: Option<usize>,
-    ) -> Result<usize, String> {
-        self.checked(
-            "gather_rows",
-            vec![src],
-            IrMeta::Gather { idx_len, idx_max },
-        )
-    }
-
-    /// Records a masked NLL loss over log-probabilities.
-    pub fn nll_masked(
-        &mut self,
-        logp: usize,
-        labels_len: usize,
-        idx_len: usize,
-        idx_max: Option<usize>,
-        label_max: Option<usize>,
-    ) -> Result<usize, String> {
-        self.checked(
-            "nll_masked",
-            vec![logp],
-            IrMeta::Nll {
-                labels_len,
-                idx_len,
-                idx_max,
-                label_max,
-            },
-        )
-    }
-
-    /// Records a fixed-mask dropout with `mask_len` mask entries.
-    pub fn dropout(&mut self, src: usize, mask_len: usize) -> Result<usize, String> {
-        self.checked("dropout", vec![src], IrMeta::Mask { len: mask_len })
+    /// Records a shape-checked two-operand, payload-free op (`add`,
+    /// `matmul`, …).
+    pub fn binary(&mut self, op: OpKind, a: usize, b: usize) -> Result<usize, String> {
+        self.op(op, &[a, b], IrMeta::None)
     }
 
     /// Records a node with **no checks at all** — declared shape, grad flag
@@ -172,7 +106,7 @@ impl IrBuilder {
     /// building deliberately broken tapes.
     pub fn raw(
         &mut self,
-        op: &str,
+        op: OpKind,
         parents: Vec<usize>,
         shape: (usize, usize),
         needs_grad: bool,
@@ -191,13 +125,17 @@ impl IrBuilder {
 mod tests {
     use super::*;
 
+    fn sparse(rows: usize, cols: usize, nnz: usize) -> IrMeta {
+        IrMeta::Sparse { rows, cols, nnz }
+    }
+
     #[test]
     fn builder_propagates_needs_grad_like_the_tape() {
         let mut b = IrBuilder::new();
         let x = b.constant(4, 3);
         let w = b.leaf(3, 2);
-        let h = b.binary("matmul", x, w).expect("matmul");
-        let r = b.unary("relu", h).expect("relu");
+        let h = b.binary(OpKind::MatMul, x, w).expect("matmul");
+        let r = b.unary(OpKind::Relu, h).expect("relu");
         let ir = b.finish();
         assert!(!ir.nodes[x].needs_grad);
         assert!(ir.nodes[h].needs_grad);
@@ -210,27 +148,27 @@ mod tests {
         let mut b = IrBuilder::new();
         let x = b.leaf(2, 3);
         let y = b.leaf(2, 3);
-        assert!(b.binary("matmul", x, y).is_err());
-        assert!(b.unary("relu", 99).is_err());
-        assert!(b.spmm(3, 3, 5, x, y).is_err()); // values not 5×1
+        assert!(b.binary(OpKind::MatMul, x, y).is_err());
+        assert!(b.unary(OpKind::Relu, 99).is_err());
+        // values not 5×1
+        assert!(b.op(OpKind::Spmm, &[x, y], sparse(3, 3, 5)).is_err());
+        // payload op without its metadata
+        assert!(b.op(OpKind::Dropout, &[x], IrMeta::None).is_err());
     }
 
     #[test]
-    fn sparse_helpers_carry_meta() {
+    fn payload_ops_carry_meta() {
         let mut b = IrBuilder::new();
         let vals = b.leaf(5, 1);
         let x = b.constant(3, 4);
-        let att = b.edge_softmax(3, 3, 5, vals).expect("edge_softmax");
-        let h = b.spmm(3, 3, 5, att, x).expect("spmm");
+        let att = b
+            .op(OpKind::EdgeSoftmax, &[vals], sparse(3, 3, 5))
+            .expect("edge_softmax");
+        let h = b
+            .op(OpKind::Spmm, &[att, x], sparse(3, 3, 5))
+            .expect("spmm");
         let ir = b.finish();
         assert_eq!(ir.nodes[h].shape, (3, 4));
-        assert_eq!(
-            ir.nodes[att].meta,
-            ses_tensor::IrMeta::Sparse {
-                rows: 3,
-                cols: 3,
-                nnz: 5
-            }
-        );
+        assert_eq!(ir.nodes[att].meta, sparse(3, 3, 5));
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! 1. [`value_numbers`] assigns each original node a value number such that
 //!    equal numbers ⇒ provably equal values. CSE-safe ops (pure, no
-//!    side-channel payload — see [`ses_tensor::OpInfo::cse_safe`]) are keyed
+//!    side-channel payload — see [`ses_tensor::OpKind::cse_safe`]) are keyed
 //!    by `(op, params, meta, parent numbers)`; leaves and payload-carrying
 //!    ops each get a fresh unique number, so the numbering never conflates
 //!    nodes whose equality the IR cannot express.
@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 
-use ses_tensor::{op_info, TapeIr};
+use ses_tensor::TapeIr;
 
 use crate::{record_diags, Diag};
 
@@ -45,8 +45,7 @@ pub fn value_numbers(ir: &TapeIr) -> Vec<usize> {
     let mut table: HashMap<String, usize> = HashMap::new();
     for node in &ir.nodes {
         let fresh = ir.len() + vn.len(); // disjoint from keyed numbers' ids
-        let cse_safe = op_info(&node.op).is_some_and(|i| i.cse_safe())
-            && node.parents.iter().all(|&p| p < vn.len());
+        let cse_safe = node.op.cse_safe() && node.parents.iter().all(|&p| p < vn.len());
         let n = if cse_safe {
             let parent_vns: Vec<usize> = node.parents.iter().map(|&p| vn[p]).collect();
             let key = format!(
@@ -218,16 +217,17 @@ mod tests {
     use super::*;
     use crate::builder::IrBuilder;
     use crate::error_count;
+    use ses_tensor::OpKind;
 
     fn diamond() -> (TapeIr, usize) {
         let mut b = IrBuilder::new();
         let x = b.constant(4, 3);
         let w = b.leaf(3, 3);
-        let h = b.binary("matmul", x, w).unwrap();
-        let r1 = b.unary("relu", h).unwrap();
-        let r2 = b.unary("relu", h).unwrap(); // duplicate of r1
-        let s = b.binary("add", r1, r2).unwrap();
-        let loss = b.unary("mean_all", s).unwrap();
+        let h = b.binary(OpKind::MatMul, x, w).unwrap();
+        let r1 = b.unary(OpKind::Relu, h).unwrap();
+        let r2 = b.unary(OpKind::Relu, h).unwrap(); // duplicate of r1
+        let s = b.binary(OpKind::Add, r1, r2).unwrap();
+        let loss = b.unary(OpKind::MeanAll, s).unwrap();
         (b.finish(), loss)
     }
 
@@ -253,18 +253,18 @@ mod tests {
         let mut b = IrBuilder::new();
         let x = b.constant(4, 3);
         let w = b.leaf(3, 3);
-        let h = b.binary("matmul", x, w).unwrap();
-        let dead = b.unary("sigmoid", h).unwrap();
-        let _dead2 = b.unary("mean_all", dead).unwrap();
-        let out = b.unary("relu", h).unwrap();
+        let h = b.binary(OpKind::MatMul, x, w).unwrap();
+        let dead = b.unary(OpKind::Sigmoid, h).unwrap();
+        let _dead2 = b.unary(OpKind::MeanAll, dead).unwrap();
+        let out = b.unary(OpKind::Relu, h).unwrap();
         let orig = b.finish();
 
         // Rewritten: the live slice only, renumbered.
         let mut b = IrBuilder::new();
         let x2 = b.constant(4, 3);
         let w2 = b.leaf(3, 3);
-        let h2 = b.binary("matmul", x2, w2).unwrap();
-        let out2 = b.unary("relu", h2).unwrap();
+        let h2 = b.binary(OpKind::MatMul, x2, w2).unwrap();
+        let out2 = b.unary(OpKind::Relu, h2).unwrap();
         let rewr = b.finish();
 
         let witness = vec![0, 1, 2, out];
@@ -279,10 +279,10 @@ mod tests {
         let mut b = IrBuilder::new();
         let x = b.constant(4, 3);
         let w = b.leaf(3, 3);
-        let h = b.binary("matmul", x, w).unwrap();
-        let r1 = b.unary("relu", h).unwrap();
-        let s = b.binary("add", r1, r1).unwrap();
-        let l2 = b.unary("mean_all", s).unwrap();
+        let h = b.binary(OpKind::MatMul, x, w).unwrap();
+        let r1 = b.unary(OpKind::Relu, h).unwrap();
+        let s = b.binary(OpKind::Add, r1, r1).unwrap();
+        let l2 = b.unary(OpKind::MeanAll, s).unwrap();
         let rewr = b.finish();
         // Witness maps the merged relu to the *first* original relu; the
         // `add`'s second operand check passes because vn[r1] == vn[r2].
@@ -296,16 +296,16 @@ mod tests {
         let mut b = IrBuilder::new();
         let a = b.leaf(2, 2);
         let c = b.leaf(2, 2);
-        let d = b.binary("sub", a, c).unwrap();
-        let _l = b.unary("mean_all", d).unwrap();
+        let d = b.binary(OpKind::Sub, a, c).unwrap();
+        let _l = b.unary(OpKind::MeanAll, d).unwrap();
         let orig = b.finish();
 
         let mut b = IrBuilder::new();
         let a2 = b.leaf(2, 2);
         let c2 = b.leaf(2, 2);
-        let d2 = b.binary("sub", c2, a2).unwrap(); // swapped: computes c - a
+        let d2 = b.binary(OpKind::Sub, c2, a2).unwrap(); // swapped: computes c - a
         let _ = (a2, d2);
-        let l2 = b.unary("mean_all", 2).unwrap();
+        let l2 = b.unary(OpKind::MeanAll, 2).unwrap();
         let rewr = b.finish();
 
         let witness = vec![0, 1, 2, 3];
@@ -322,12 +322,12 @@ mod tests {
     fn changed_params_are_caught() {
         let mut b = IrBuilder::new();
         let a = b.leaf(2, 2);
-        let s = b.unary("relu", a).unwrap();
+        let s = b.unary(OpKind::Relu, a).unwrap();
         let orig = b.finish();
 
         let mut b = IrBuilder::new();
         let a2 = b.leaf(2, 2);
-        let s2 = b.unary("relu", a2).unwrap();
+        let s2 = b.unary(OpKind::Relu, a2).unwrap();
         let mut rewr = b.finish();
         rewr.nodes[s2].params = vec![0.5f32.to_bits()]; // scalar attr drift
 
@@ -351,8 +351,13 @@ mod tests {
         let mut b = IrBuilder::new();
         let v = b.leaf(5, 1);
         let x = b.constant(3, 4);
-        let s1 = b.spmm(3, 3, 5, v, x).unwrap();
-        let s2 = b.spmm(3, 3, 5, v, x).unwrap();
+        let sparse = ses_tensor::IrMeta::Sparse {
+            rows: 3,
+            cols: 3,
+            nnz: 5,
+        };
+        let s1 = b.op(OpKind::Spmm, &[v, x], sparse.clone()).unwrap();
+        let s2 = b.op(OpKind::Spmm, &[v, x], sparse).unwrap();
         let ir = b.finish();
         let vn = value_numbers(&ir);
         // Identical IR footprint, but the CSR contents are invisible here —

@@ -5,12 +5,12 @@
 //! 1. **Tape-IR verifier** ([`tape_check`]) — walks a [`ses_tensor::TapeIr`]
 //!    (exported from a real recorded tape, or dry-run traced by
 //!    [`builder::IrBuilder`] without executing a single kernel) and proves,
-//!    per node: operand shapes are compatible, every gradient-bearing op has
-//!    a backward rule, gradient wiring is not silently cut, reduction order
-//!    is provably deterministic, and — given a loss node — every trainable
-//!    leaf is reachable within a [`ses_tensor::LeakBudget`]. This is the
-//!    runtime sanitizer's checklist run *before* any epoch, on shape
-//!    arithmetic alone.
+//!    per node: operand shapes satisfy the op's shape rule
+//!    ([`ses_tensor::infer_shape`], the rule the tape checks as it records),
+//!    every gradient-bearing op has a backward rule, gradient wiring is not
+//!    silently cut, and — given a loss node — every trainable leaf is
+//!    reachable within a [`ses_tensor::LeakBudget`]. This is the tape's
+//!    checklist run *before* any epoch, on shape arithmetic alone.
 //! 2. **Structural-equivalence checker** ([`equiv`]) — value-numbering
 //!    bisimulation between an original IR and a rewritten one, the
 //!    translation-validation backbone of the `ses-ir` compiler (see
@@ -74,7 +74,7 @@ pub struct Diag {
     /// Which engine produced it: `"tape-ir"`, `"equiv"` or `"partition"`.
     pub engine: &'static str,
     /// The specific check, e.g. `"shape"`, `"backward-coverage"`,
-    /// `"determinism"`, `"leak-budget"`, `"coverage"`, `"disjointness"`.
+    /// `"leak-budget"`, `"coverage"`, `"disjointness"`.
     pub check: &'static str,
     /// What was being checked (node id + op, or partition inputs).
     pub subject: String,

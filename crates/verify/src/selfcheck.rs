@@ -12,9 +12,9 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ses_gnn::{AdjView, Arma, Asdgn, Encoder, ForwardCtx, Gat, Gcn, Gin, Sage, UniMp};
+use ses_gnn::{AdjView, Arma, Asdgn, Encoder, ForwardCtx, Gat, Gcn, Gin, UniMp};
 use ses_graph::Graph;
-use ses_tensor::{CsrStructure, LeakBudget, Matrix, Tape, TapeIr};
+use ses_tensor::{CsrStructure, IrMeta, LeakBudget, Matrix, OpKind, Tape, TapeIr};
 
 use crate::builder::IrBuilder;
 use crate::equiv::check_equivalence;
@@ -165,7 +165,6 @@ fn backbone_step_tapes() -> Vec<(&'static str, TapeIr, usize)> {
     let encoders: Vec<(&'static str, Box<dyn Encoder>)> = vec![
         ("GCN", Box::new(Gcn::new(fi, hi, cl, &mut rng))),
         ("GAT", Box::new(Gat::new(fi, hi, cl, 2, &mut rng))),
-        ("GraphSAGE", Box::new(Sage::new(fi, hi, cl, &mut rng))),
         ("GIN", Box::new(Gin::new(fi, hi, cl, &mut rng))),
         ("ARMA", Box::new(Arma::new(fi, hi, cl, 2, &mut rng))),
         ("UniMP", Box::new(UniMp::new(fi, hi, cl, &mut rng))),
@@ -199,18 +198,29 @@ fn dry_run_ses_trace() -> Result<(TapeIr, usize), String> {
     let mut b = IrBuilder::new();
     let x = b.constant(8, 5);
     let w1 = b.leaf(5, 6);
-    let h0 = b.binary("matmul", x, w1)?;
+    let h0 = b.binary(OpKind::MatMul, x, w1)?;
     let bias = b.leaf(1, 6);
-    let h1 = b.binary("add_row_broadcast", h0, bias)?;
-    let h2 = b.unary("relu", h1)?;
-    let hd = b.dropout(h2, 48)?;
+    let h1 = b.binary(OpKind::AddRowBroadcast, h0, bias)?;
+    let h2 = b.unary(OpKind::Relu, h1)?;
+    let hd = b.op(OpKind::Dropout, &[h2], IrMeta::Mask { len: 48 })?;
     let scores = b.leaf(12, 1);
-    let att = b.edge_softmax(8, 8, 12, scores)?;
-    let agg = b.spmm(8, 8, 12, att, hd)?;
+    let sparse = IrMeta::Sparse {
+        rows: 8,
+        cols: 8,
+        nnz: 12,
+    };
+    let att = b.op(OpKind::EdgeSoftmax, &[scores], sparse.clone())?;
+    let agg = b.op(OpKind::Spmm, &[att, hd], sparse)?;
     let w2 = b.leaf(6, 3);
-    let logits = b.binary("matmul", agg, w2)?;
-    let logp = b.unary("log_softmax_rows", logits)?;
-    let loss = b.nll_masked(logp, 8, 4, Some(7), Some(2))?;
+    let logits = b.binary(OpKind::MatMul, agg, w2)?;
+    let logp = b.unary(OpKind::LogSoftmaxRows, logits)?;
+    let nll = IrMeta::Nll {
+        labels_len: 8,
+        idx_len: 4,
+        idx_max: Some(7),
+        label_max: Some(2),
+    };
+    let loss = b.op(OpKind::NllMasked, &[logp], nll)?;
     Ok((b.finish(), loss))
 }
 
@@ -305,14 +315,14 @@ pub fn run(defect: Option<SeededDefect>) -> SelfCheckReport {
             let mut b = IrBuilder::new();
             let a = b.leaf(2, 3);
             let c = b.leaf(3, 3);
-            b.raw("add", vec![a, c], (2, 3), true, true);
+            b.raw(OpKind::Add, vec![a, c], (2, 3), true, true);
             verify_ir(&mut report, &b.finish(), &TapeCheckConfig::default());
         }
         Some(SeededDefect::BackwardGap) => {
             let mut b = IrBuilder::new();
             let w = b.leaf(3, 3);
-            let r = b.raw("relu", vec![w], (3, 3), true, false);
-            let loss = b.raw("mean_all", vec![r], (1, 1), true, true);
+            let r = b.raw(OpKind::Relu, vec![w], (3, 3), true, false);
+            let loss = b.raw(OpKind::MeanAll, vec![r], (1, 1), true, true);
             b.leaf(2, 2); // trainable, never consumed
             verify_ir(
                 &mut report,
@@ -334,10 +344,10 @@ pub fn run(defect: Option<SeededDefect>) -> SelfCheckReport {
                 let c = b.leaf(3, 3);
                 let (lhs, rhs) = if swap { (c, a) } else { (a, c) };
                 let d = b
-                    .binary("sub", lhs, rhs)
+                    .binary(OpKind::Sub, lhs, rhs)
                     .unwrap_or_else(|e| unreachable!("fixture builds: {e}"));
                 let loss = b
-                    .unary("mean_all", d)
+                    .unary(OpKind::MeanAll, d)
                     .unwrap_or_else(|e| unreachable!("fixture builds: {e}"));
                 (b.finish(), loss)
             };
@@ -389,9 +399,9 @@ mod tests {
     #[test]
     fn real_core_trace_verifies_clean_with_zero_leak_budget() {
         // The IR exported from one production explainable-training step
-        // must pass every static check: shapes, backward coverage,
-        // determinism registry, and full reachability of all trainable
-        // leaves (encoder + mask generator) from the Eq. 9 loss.
+        // must pass every static check: shapes, backward coverage, and full
+        // reachability of all trainable leaves (encoder + mask generator)
+        // from the Eq. 9 loss.
         let (ir, loss) = ses_core::explain_step_ir();
         assert!(
             ir.len() > 50,
@@ -419,11 +429,11 @@ mod tests {
             Ok((ir, _)) => ir,
             Err(e) => unreachable!("reference trace must build: {e}"),
         };
-        let ops = |ir: &TapeIr| -> Vec<String> {
+        let ops = |ir: &TapeIr| -> Vec<OpKind> {
             ir.nodes
                 .iter()
-                .map(|n| n.op.clone())
-                .filter(|o| o != "dropout")
+                .map(|n| n.op)
+                .filter(|&o| o != OpKind::Dropout)
                 .collect()
         };
         assert_eq!(ops(&real), ops(&dry));

@@ -6,14 +6,11 @@
 //! * **topology** — ids are dense, every parent precedes its child (the flat
 //!   arena invariant that `Tape::backward`'s reverse sweep relies on);
 //! * **shape** — every op's declared output shape matches what its operand
-//!   shapes (plus [`IrMeta`] side channels) imply, the same rules the runtime
-//!   sanitizer enforces at registration;
+//!   shapes (plus [`IrMeta`](ses_tensor::IrMeta) side channels) imply, by
+//!   the same [`infer_shape`] rule the tape runs as it records each op;
 //! * **backward coverage** — every gradient-bearing op has a backward rule,
 //!   and gradient wiring is never silently cut (a node whose parent needs a
 //!   gradient but which itself will not propagate one);
-//! * **determinism** — every op is in the registry of ops whose reduction
-//!   order is proven thread-count-independent (see `ses_tensor::par`'s
-//!   determinism contract); unknown ops are rejected rather than assumed;
 //! * **loss analysis** — given a loss node: its shape is scalar, every
 //!   trainable leaf is backward-reachable from it, and `Unused`/`AfterLoss`
 //!   leaks stay within an optional [`LeakBudget`] (the static mirror of
@@ -23,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use ses_tensor::{IrMeta, LeakBudget, TapeIr};
+use ses_tensor::{infer_shape, LeakBudget, OpKind, TapeIr};
 
 use crate::{record_diags, Diag};
 
@@ -37,266 +34,6 @@ pub struct TapeCheckConfig {
     pub leak_budget: Option<LeakBudget>,
 }
 
-/// Classification of an op's parallel execution behaviour, mirroring the
-/// determinism contract documented in `ses_tensor::par`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetClass {
-    /// Runs serially (or element-wise with one writer per output element):
-    /// trivially order-independent.
-    Serial,
-    /// Runs on the parallel layer with partition geometry that is a pure
-    /// function of the problem shape and block-ordered merges: proven
-    /// bit-identical at any thread count.
-    ParallelDeterministic,
-}
-
-/// The determinism class of a known op, `None` for ops outside the registry.
-pub fn op_determinism(op: &str) -> Option<DetClass> {
-    match op {
-        // Kernels dispatched through ses_tensor::kernels on the parallel
-        // layer; each partitions over output elements or merges per-block
-        // partials in block order (par.rs determinism contract rules 1-2).
-        "matmul" | "spmm" | "edge_softmax" => Some(DetClass::ParallelDeterministic),
-        "leaf" | "add" | "sub" | "mul" | "scale" | "add_scalar" | "mul_scalar_var"
-        | "transpose" | "add_row_broadcast" | "mul_col_broadcast" | "sigmoid" | "relu"
-        | "leaky_relu" | "elu" | "tanh" | "sqrt_eps" | "log_eps" | "exp" | "abs"
-        | "log_softmax_rows" | "nll_masked" | "gather_rows" | "concat_cols" | "concat_rows"
-        | "sum_all" | "mean_all" | "row_sum" | "dropout" => Some(DetClass::Serial),
-        _ => None,
-    }
-}
-
-/// Statically recomputes the output shape of `op` from its operand shapes
-/// and side-channel metadata. Errors describe the violated rule.
-///
-/// The rules mirror the runtime sanitizer's registration-time checks
-/// (`san_same_shape`, `san_matmul_dims`, `san_spmm_dims`, …) so a tape that
-/// passes here cannot trip a shape assertion at run time.
-pub fn infer_shape(
-    op: &str,
-    parents: &[(usize, usize)],
-    meta: &IrMeta,
-) -> Result<(usize, usize), String> {
-    let arity = |n: usize| -> Result<(), String> {
-        if parents.len() == n {
-            Ok(())
-        } else {
-            Err(format!(
-                "`{op}` expects {n} operand(s), found {}",
-                parents.len()
-            ))
-        }
-    };
-    match op {
-        "leaf" => {
-            arity(0)?;
-            Err("`leaf` shape is declared, not inferred".to_string())
-        }
-        "add" | "sub" | "mul" => {
-            arity(2)?;
-            let (a, b) = (parents[0], parents[1]);
-            if a == b {
-                Ok(a)
-            } else {
-                Err(format!(
-                    "element-wise `{op}` needs equal shapes, found {}×{} vs {}×{}",
-                    a.0, a.1, b.0, b.1
-                ))
-            }
-        }
-        "scale" | "add_scalar" | "sigmoid" | "relu" | "leaky_relu" | "elu" | "tanh"
-        | "sqrt_eps" | "log_eps" | "exp" | "abs" | "log_softmax_rows" => {
-            arity(1)?;
-            Ok(parents[0])
-        }
-        "mul_scalar_var" => {
-            arity(2)?;
-            let (s, m) = (parents[0], parents[1]);
-            if s == (1, 1) {
-                Ok(m)
-            } else {
-                Err(format!(
-                    "`mul_scalar_var` scalar operand must be 1×1, found {}×{}",
-                    s.0, s.1
-                ))
-            }
-        }
-        "matmul" => {
-            arity(2)?;
-            let (a, b) = (parents[0], parents[1]);
-            if a.1 == b.0 {
-                Ok((a.0, b.1))
-            } else {
-                Err(format!(
-                    "`matmul` inner dims differ: {}×{} times {}×{}",
-                    a.0, a.1, b.0, b.1
-                ))
-            }
-        }
-        "transpose" => {
-            arity(1)?;
-            Ok((parents[0].1, parents[0].0))
-        }
-        "add_row_broadcast" => {
-            arity(2)?;
-            let (m, bias) = (parents[0], parents[1]);
-            if bias == (1, m.1) {
-                Ok(m)
-            } else {
-                Err(format!(
-                    "`add_row_broadcast` bias must be 1×{}, found {}×{}",
-                    m.1, bias.0, bias.1
-                ))
-            }
-        }
-        "mul_col_broadcast" => {
-            arity(2)?;
-            let (m, s) = (parents[0], parents[1]);
-            if s == (m.0, 1) {
-                Ok(m)
-            } else {
-                Err(format!(
-                    "`mul_col_broadcast` scaler must be {}×1, found {}×{}",
-                    m.0, s.0, s.1
-                ))
-            }
-        }
-        "spmm" => {
-            arity(2)?;
-            let IrMeta::Sparse { rows, cols, nnz } = *meta else {
-                return Err("`spmm` requires Sparse metadata".to_string());
-            };
-            let (values, dense) = (parents[0], parents[1]);
-            if values != (nnz, 1) {
-                return Err(format!(
-                    "`spmm` values must be nnz×1 = {nnz}×1, found {}×{}",
-                    values.0, values.1
-                ));
-            }
-            if dense.0 != cols {
-                return Err(format!(
-                    "`spmm` dense rows must equal sparse cols {cols}, found {}×{}",
-                    dense.0, dense.1
-                ));
-            }
-            Ok((rows, dense.1))
-        }
-        "edge_softmax" => {
-            arity(1)?;
-            let IrMeta::Sparse { nnz, .. } = *meta else {
-                return Err("`edge_softmax` requires Sparse metadata".to_string());
-            };
-            let s = parents[0];
-            if s == (nnz, 1) {
-                Ok((nnz, 1))
-            } else {
-                Err(format!(
-                    "`edge_softmax` scores must be nnz×1 = {nnz}×1, found {}×{}",
-                    s.0, s.1
-                ))
-            }
-        }
-        "gather_rows" => {
-            arity(1)?;
-            let IrMeta::Gather { idx_len, idx_max } = *meta else {
-                return Err("`gather_rows` requires Gather metadata".to_string());
-            };
-            let src = parents[0];
-            match idx_max {
-                Some(mx) if mx >= src.0 => Err(format!(
-                    "`gather_rows` index {mx} out of bounds for {} source rows",
-                    src.0
-                )),
-                _ => Ok((idx_len, src.1)),
-            }
-        }
-        "nll_masked" => {
-            arity(1)?;
-            let IrMeta::Nll {
-                labels_len,
-                idx_len,
-                idx_max,
-                label_max,
-            } = *meta
-            else {
-                return Err("`nll_masked` requires Nll metadata".to_string());
-            };
-            let (n, c) = parents[0];
-            if labels_len != n {
-                return Err(format!(
-                    "`nll_masked` labels length {labels_len} must equal input rows {n}"
-                ));
-            }
-            if idx_len == 0 {
-                return Err("`nll_masked` loss-row index list is empty".to_string());
-            }
-            if let Some(mx) = idx_max {
-                if mx >= n {
-                    return Err(format!(
-                        "`nll_masked` loss row {mx} out of bounds for {n} rows"
-                    ));
-                }
-            }
-            if let Some(mx) = label_max {
-                if mx >= c {
-                    return Err(format!(
-                        "`nll_masked` label {mx} out of bounds for {c} classes"
-                    ));
-                }
-            }
-            Ok((1, 1))
-        }
-        "concat_cols" => {
-            arity(2)?;
-            let (a, b) = (parents[0], parents[1]);
-            if a.0 == b.0 {
-                Ok((a.0, a.1 + b.1))
-            } else {
-                Err(format!(
-                    "`concat_cols` row counts differ: {} vs {}",
-                    a.0, b.0
-                ))
-            }
-        }
-        "concat_rows" => {
-            arity(2)?;
-            let (a, b) = (parents[0], parents[1]);
-            if a.1 == b.1 {
-                Ok((a.0 + b.0, a.1))
-            } else {
-                Err(format!(
-                    "`concat_rows` column counts differ: {} vs {}",
-                    a.1, b.1
-                ))
-            }
-        }
-        "sum_all" | "mean_all" => {
-            arity(1)?;
-            Ok((1, 1))
-        }
-        "row_sum" => {
-            arity(1)?;
-            Ok((parents[0].0, 1))
-        }
-        "dropout" => {
-            arity(1)?;
-            let IrMeta::Mask { len } = *meta else {
-                return Err("`dropout` requires Mask metadata".to_string());
-            };
-            let (r, c) = parents[0];
-            if len == r * c {
-                Ok((r, c))
-            } else {
-                Err(format!(
-                    "`dropout` mask length {len} must equal element count {}",
-                    r * c
-                ))
-            }
-        }
-        _ => Err(format!("unknown op `{op}`")),
-    }
-}
-
 /// How many individual leak warnings to emit before summarising.
 const LEAK_WARNING_CAP: usize = 8;
 
@@ -306,7 +43,7 @@ pub fn verify_tape(ir: &TapeIr, cfg: &TapeCheckConfig) -> Vec<Diag> {
     let n = ir.len();
     ses_obs::metrics::VERIFY_CHECKS.add(n as u64);
     let subject = |id: usize| -> String {
-        let op = ir.nodes.get(id).map_or("?", |nd| nd.op.as_str());
+        let op = ir.nodes.get(id).map_or("?", |nd| nd.op.name());
         format!("node {id} (op `{op}`)")
     };
 
@@ -346,48 +83,31 @@ pub fn verify_tape(ir: &TapeIr, cfg: &TapeCheckConfig) -> Vec<Diag> {
         return diags;
     }
 
-    // --- per-node shape / backward / determinism checks --------------------
+    // --- per-node shape / backward checks -----------------------------------
     for (i, node) in ir.nodes.iter().enumerate() {
         let pshapes: Vec<(usize, usize)> =
             node.parents.iter().map(|&p| ir.nodes[p].shape).collect();
-        let known = op_determinism(&node.op).is_some();
-        if !known {
-            diags.push(Diag::error(
+        match infer_shape(node.op, &pshapes, &node.meta) {
+            Ok(s) if s == node.shape => {}
+            Ok(s) => diags.push(Diag::error(
                 "tape-ir",
-                "determinism",
+                "shape",
                 subject(i),
-                "op is not in the verifier registry: its reduction order \
-                 cannot be proven thread-count-independent (and its shape \
-                 rule is unknown)"
-                    .to_string(),
-            ));
-        } else if node.op == "leaf" {
-            if !node.parents.is_empty() {
-                diags.push(Diag::error(
-                    "tape-ir",
-                    "shape",
-                    subject(i),
-                    format!("`leaf` must have no parents, found {}", node.parents.len()),
-                ));
-            }
-        } else {
-            match infer_shape(&node.op, &pshapes, &node.meta) {
-                Ok(s) if s == node.shape => {}
-                Ok(s) => diags.push(Diag::error(
-                    "tape-ir",
-                    "shape",
-                    subject(i),
-                    format!(
-                        "declared shape {}×{} but operands imply {}×{}",
-                        node.shape.0, node.shape.1, s.0, s.1
-                    ),
-                )),
-                Err(e) => diags.push(Diag::error("tape-ir", "shape", subject(i), e)),
-            }
+                format!(
+                    "declared shape {}×{} but operands imply {}×{}",
+                    node.shape.0, node.shape.1, s.0, s.1
+                ),
+            )),
+            Err(e) => diags.push(Diag::error(
+                "tape-ir",
+                "shape",
+                subject(i),
+                e.describe(&node.parents),
+            )),
         }
 
         let parent_needs = node.parents.iter().any(|&p| ir.nodes[p].needs_grad);
-        if node.op != "leaf" {
+        if node.op != OpKind::Leaf {
             if node.needs_grad && !node.has_backward {
                 diags.push(Diag::error(
                     "tape-ir",
@@ -420,7 +140,7 @@ pub fn verify_tape(ir: &TapeIr, cfg: &TapeCheckConfig) -> Vec<Diag> {
     // --- duplicate subgraph detection (non-leaf nodes) ----------------------
     let mut seen: HashMap<String, usize> = HashMap::new();
     for (i, node) in ir.nodes.iter().enumerate() {
-        if node.op == "leaf" {
+        if node.op == OpKind::Leaf {
             continue;
         }
         let key = format!(
@@ -482,7 +202,7 @@ pub fn verify_tape(ir: &TapeIr, cfg: &TapeCheckConfig) -> Vec<Diag> {
         let mut after_loss = Vec::new();
         for (i, node) in ir.nodes.iter().enumerate() {
             if reachable[i] || !node.needs_grad {
-                if !reachable[i] && i < loss && node.op != "leaf" {
+                if !reachable[i] && i < loss && node.op != OpKind::Leaf {
                     diags.push(Diag::warning(
                         "tape-ir",
                         "dead-code",
@@ -494,7 +214,7 @@ pub fn verify_tape(ir: &TapeIr, cfg: &TapeCheckConfig) -> Vec<Diag> {
             }
             if i > loss {
                 after_loss.push(i);
-            } else if node.op == "leaf" {
+            } else if node.op == OpKind::Leaf {
                 unused.push(i);
             } else {
                 diags.push(Diag::warning(
@@ -583,9 +303,9 @@ mod tests {
         let mut b = IrBuilder::new();
         let x = b.constant(4, 3);
         let w = b.leaf(3, 2);
-        let h = b.binary("matmul", x, w).expect("matmul");
-        let r = b.unary("relu", h).expect("relu");
-        let loss = b.unary("mean_all", r).expect("mean_all");
+        let h = b.binary(OpKind::MatMul, x, w).expect("matmul");
+        let r = b.unary(OpKind::Relu, h).expect("relu");
+        let loss = b.unary(OpKind::MeanAll, r).expect("mean_all");
         let ir = b.finish();
         let diags = verify_tape(
             &ir,
@@ -598,25 +318,17 @@ mod tests {
     }
 
     #[test]
-    fn infer_shape_rejects_bad_matmul() {
-        let e = infer_shape("matmul", &[(2, 3), (2, 3)], &IrMeta::None);
-        assert!(e.is_err());
-        assert_eq!(
-            infer_shape("matmul", &[(2, 3), (3, 5)], &IrMeta::None),
-            Ok((2, 5))
-        );
-    }
-
-    #[test]
-    fn unknown_op_is_a_determinism_error() {
+    fn bad_matmul_is_a_shape_error_naming_its_operands() {
         let mut b = IrBuilder::new();
-        let x = b.leaf(2, 2);
-        let bad = b.raw("scatter_add_unordered", vec![x], (2, 2), true, true);
-        let ir = b.finish();
-        let diags = verify_tape(&ir, &TapeCheckConfig::default());
+        let x = b.leaf(2, 3);
+        let y = b.leaf(2, 3);
+        let bad = b.raw(OpKind::MatMul, vec![x, y], (2, 3), true, true);
+        let diags = verify_tape(&b.finish(), &TapeCheckConfig::default());
         let errs = errors(&diags);
-        assert!(errs.iter().any(|d| d.check == "determinism"), "{diags:?}");
+        assert_eq!(errs.len(), 1, "{diags:?}");
+        assert_eq!(errs[0].check, "shape");
         assert!(errs[0].subject.contains(&format!("node {bad}")));
+        assert!(errs[0].msg.contains("node 0 is 2x3 but node 1 is 2x3"));
     }
 
     #[test]
@@ -625,7 +337,7 @@ mod tests {
         // gradient — the silent failure mode the verifier exists to catch.
         let mut b = IrBuilder::new();
         let w = b.leaf(3, 3);
-        let cut = b.raw("relu", vec![w], (3, 3), false, true);
+        let cut = b.raw(OpKind::Relu, vec![w], (3, 3), false, true);
         let ir = b.finish();
         let diags = verify_tape(&ir, &TapeCheckConfig::default());
         assert!(
@@ -641,8 +353,8 @@ mod tests {
     fn duplicate_subgraphs_warn() {
         let mut b = IrBuilder::new();
         let x = b.leaf(2, 2);
-        let a = b.unary("relu", x).expect("relu");
-        let _b2 = b.unary("relu", x).expect("relu");
+        let a = b.unary(OpKind::Relu, x).expect("relu");
+        let _b2 = b.unary(OpKind::Relu, x).expect("relu");
         let _ = a;
         let ir = b.finish();
         let diags = verify_tape(&ir, &TapeCheckConfig::default());
@@ -654,7 +366,7 @@ mod tests {
         let mut b = IrBuilder::new();
         let x = b.leaf(2, 2);
         let _orphan = b.leaf(4, 4);
-        let loss = b.unary("mean_all", x).expect("mean_all");
+        let loss = b.unary(OpKind::MeanAll, x).expect("mean_all");
         let ir = b.finish();
         let diags = verify_tape(
             &ir,

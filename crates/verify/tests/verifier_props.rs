@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use ses_tensor::par::{even_ranges, nnz_balanced_ranges};
+use ses_tensor::OpKind;
 use ses_verify::builder::IrBuilder;
 use ses_verify::partition::{
     check_entry_partition, check_row_partition, check_split_entries, check_split_rows,
@@ -69,10 +70,10 @@ proptest! {
         let mut h = b.constant(rows, dims[0]);
         for w in dims.windows(2) {
             let wt = b.leaf(w[0], w[1]);
-            h = b.binary("matmul", h, wt).expect("checked matmul");
-            h = b.unary("relu", h).expect("checked relu");
+            h = b.binary(OpKind::MatMul, h, wt).expect("checked matmul");
+            h = b.unary(OpKind::Relu, h).expect("checked relu");
         }
-        let loss = b.unary("mean_all", h).expect("checked mean_all");
+        let loss = b.unary(OpKind::MeanAll, h).expect("checked mean_all");
         let ir = b.finish();
         let diags = verify_tape(&ir, &TapeCheckConfig {
             loss: Some(loss),
