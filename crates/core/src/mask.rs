@@ -4,7 +4,7 @@
 //! * a **feature mask** `M_f ∈ (0,1)^{N×F}` via an MLP (Eq. 3);
 //! * a **structure mask** `M_s ∈ (0,1)^{N_k×1}` scoring every edge of the
 //!   k-hop adjacency via a shared linear scorer over concatenated endpoint
-//!   features (Eq. 4);
+//!   features (Eq. 4), one fused [`Tape::score_pairs`] op per pair set;
 //! * a **negative structure mask** `M_sneg` scoring sampled non-neighbour
 //!   pairs, used by the subgraph loss (Eq. 7).
 
@@ -21,14 +21,12 @@ pub struct MaskGenerator {
     mlp_b1: Param,
     mlp_w2: Param,
     mlp_b2: Param,
-    // structure scorer: cat(h_i, h_k) -> 1 (shared W, b of Eq. 4)
+    // structure scorer: cat(h_i, h_k, h_i ⊙ h_k) -> 1 (shared W, b of
+    // Eq. 4); a 2h-row W drops the interaction block (see `additive`)
     w_s: Param,
     b_s: Param,
     hidden: usize,
     feat_dim: usize,
-    /// When false, the scorer omits the `h_i ⊙ h_k` interaction block —
-    /// the paper's literal additive concatenation (see DESIGN.md).
-    interaction: bool,
 }
 
 /// The masks produced during one forward pass (tape variables).
@@ -66,17 +64,17 @@ impl MaskGenerator {
             b_s: Param::new(Matrix::zeros(1, 1)),
             hidden,
             feat_dim,
-            interaction: true,
         }
     }
 
     /// The paper's literal additive scorer `σ(W·[h_i ; h_k] + b)` — kept for
     /// the design-choice ablation bench. It factorises as `f(h_i) + g(h_k)`
-    /// and cannot express pairwise similarity.
+    /// and cannot express pairwise similarity. Its `2·hidden × 1` weight is
+    /// what selects the additive form: the pair scorer reads the block count
+    /// from `W`.
     pub fn additive(hidden: usize, feat_dim: usize, rng: &mut StdRng) -> Self {
         let mut m = Self::new(hidden, feat_dim, rng);
         m.w_s = Param::new(init::xavier_uniform(2 * hidden, 1, rng));
-        m.interaction = false;
         m
     }
 
@@ -111,10 +109,9 @@ impl MaskGenerator {
         let feature = tape.sigmoid(m2);
 
         // Eq. (4): M_s = sigmoid(W · cat(h_i, h_k) + b) per k-hop edge
-        let structure = Self::score_pairs(tape, h, khop_rows, khop_cols, ws, bs, self.interaction);
+        let structure = Self::score_pairs(tape, h, khop_rows, khop_cols, ws, bs);
         // negative pairs
-        let structure_neg =
-            Self::score_pairs(tape, h, neg_anchor, neg_other, ws, bs, self.interaction);
+        let structure_neg = Self::score_pairs(tape, h, neg_anchor, neg_other, ws, bs);
 
         MaskOutput {
             feature,
@@ -124,7 +121,8 @@ impl MaskGenerator {
         }
     }
 
-    /// Scores node pairs: `sigmoid(cat(h[a], h[b], h[a] ⊙ h[b]) · w + b)`.
+    /// Scores node pairs: `sigmoid(cat(h[a], h[b], h[a] ⊙ h[b]) · w + b)`,
+    /// without the `h[a] ⊙ h[b]` block when `w` has `2·hidden` rows.
     fn score_pairs(
         tape: &mut Tape,
         h: Var,
@@ -132,17 +130,9 @@ impl MaskGenerator {
         b_idx: &Arc<Vec<usize>>,
         w: Var,
         b: Var,
-        interaction: bool,
     ) -> Var {
-        let ha = tape.gather_rows(h, a_idx.clone());
-        let hb = tape.gather_rows(h, b_idx.clone());
-        let mut cat = tape.concat_cols(ha, hb);
-        if interaction {
-            let prod = tape.mul(ha, hb);
-            cat = tape.concat_cols(cat, prod);
-        }
-        let score = tape.linear(cat, w, b);
-        tape.sigmoid(score)
+        let logits = tape.score_pairs(h, a_idx.clone(), b_idx.clone(), w, b);
+        tape.sigmoid(logits)
     }
 
     /// Mutable parameter list (`θ_m`), stable order.

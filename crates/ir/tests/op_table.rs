@@ -177,6 +177,14 @@ fn record(kind: OpKind, r: &mut Recording) -> Var {
             let a = r.leaf(3, 2);
             r.t.row_sum(a)
         }
+        OpKind::ScorePairs => {
+            let (h, w, b) = (r.leaf(3, 2), r.leaf(6, 1), r.positive_leaf(1, 1));
+            let a_idx = Arc::new(vec![0, 2, 2, 1, 0]);
+            let b_idx = Arc::new(vec![1, 2, 0, 0, 0]);
+            let v =
+                r.t.score_pairs(h, Arc::clone(&a_idx), Arc::clone(&b_idx), w, b);
+            r.with_payload(v, Payload::Pairs { a: a_idx, b: b_idx })
+        }
         OpKind::Dropout => {
             let a = r.leaf(3, 2);
             let mask = Arc::new(vec![0.0, 1.25, 1.25, 0.0, 1.25, 1.25]);

@@ -448,8 +448,11 @@ fn calibrate_crossovers(
     );
     push(
         "t_matmul",
-        dense_points(&dense, t, &mut |a, b, th| {
-            black_box(kernels::t_matmul(a, b, th));
+        // `aᵀ × a`: t_matmul contracts over rows, so its second operand must
+        // be m×32 like `a` (the 32×32 `b` only fits when m = 32). The work
+        // is the same m·32·32 the ladder is keyed by.
+        dense_points(&dense, t, &mut |a, _, th| {
+            black_box(kernels::t_matmul(a, a, th));
         }),
     );
     push(

@@ -1,8 +1,9 @@
 //! Cache-blocked, row-parallel compute kernels.
 //!
 //! Every hot loop in the workspace bottoms out here: the sparse × dense
-//! products and edge softmax that dominate SES mask learning, and the dense
-//! matmul family behind every linear layer. Each kernel takes an explicit
+//! products and edge softmax that dominate SES mask learning, the Eq. 4
+//! pair scorer ([`score_pairs`]), and the dense matmul family behind every
+//! linear layer. Each kernel takes an explicit
 //! `threads` argument; the public wrappers ([`crate::Matrix::matmul`],
 //! [`crate::sparse::spmm`], the tape ops) pass
 //! [`crate::par::configured_threads`].
@@ -27,9 +28,11 @@ pub mod lane;
 pub mod reference;
 
 mod dense;
+mod pairs;
 mod sparse;
 
 pub use dense::{matmul, matmul_t, t_matmul};
+pub use pairs::{score_pairs, score_pairs_backward, PairGrads};
 pub use sparse::{edge_softmax, edge_softmax_backward, spmm, spmm_transpose, spmm_values_grad};
 
 // The old FEATURE_TILE-based scalar tiling lives on only inside

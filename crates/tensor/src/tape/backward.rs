@@ -263,6 +263,33 @@ impl Tape {
                 }
                 vec![(*src, d)]
             }
+            Op::ScorePairs {
+                h,
+                w,
+                bias,
+                a_idx,
+                b_idx,
+            } => {
+                let grads = crate::kernels::score_pairs_backward(
+                    val(*h),
+                    a_idx,
+                    b_idx,
+                    val(*w).as_slice(),
+                    g.as_slice(),
+                    self.needs(*h),
+                );
+                // Two deltas for `h`, b-side then a-side: the composite's
+                // two gathers delivered them in that order, and the sweep
+                // accumulates them one after the other.
+                let mut out = Vec::with_capacity(4);
+                if let Some((s_b, s_a)) = grads.dh {
+                    out.push((*h, s_b));
+                    out.push((*h, s_a));
+                }
+                out.push((*w, grads.dw));
+                out.push((*bias, grads.db));
+                out
+            }
         }
     }
 }

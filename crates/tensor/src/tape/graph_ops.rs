@@ -1,5 +1,6 @@
 //! Graph-structured operations: sparse × dense products with differentiable
-//! edge values, and per-destination edge softmax (the GAT attention kernel).
+//! edge values, per-destination edge softmax (the GAT attention kernel), and
+//! the Eq. 4 node-pair scorer.
 
 use std::sync::Arc;
 
@@ -41,6 +42,33 @@ impl Tape {
     /// thread count).
     pub fn edge_softmax(&mut self, structure: Arc<CsrStructure>, scores: Var) -> Var {
         self.record(Op::EdgeSoftmax { scores, structure })
+    }
+
+    /// Eq. 4 pair logits straight from the node embeddings `h` (`n × f`):
+    /// for each pair `p`, `w₁·h[a_p] + w₂·h[b_p] + w₃·(h[a_p] ⊙ h[b_p]) + b`
+    /// as a `P × 1` column. `w` is `3f × 1`, or `2f × 1` for the additive
+    /// scorer without the `w₃` block; `b` is `1 × 1`.
+    ///
+    /// Bit-identical — value and the gradients of `h`, `w` and `b` — to
+    /// `linear(concat_cols(concat_cols(gather_rows(h, a), gather_rows(h,
+    /// b)), mul(..)), w, b)`, but no `P × ·` pair matrix is materialised:
+    /// the [`crate::kernels::score_pairs`] kernel reads the endpoint rows
+    /// in place and its backward scatters into `h`.
+    pub fn score_pairs(
+        &mut self,
+        h: Var,
+        a_idx: Arc<Vec<usize>>,
+        b_idx: Arc<Vec<usize>>,
+        w: Var,
+        b: Var,
+    ) -> Var {
+        self.record(Op::ScorePairs {
+            h,
+            w,
+            bias: b,
+            a_idx,
+            b_idx,
+        })
     }
 }
 

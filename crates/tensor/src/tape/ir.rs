@@ -44,6 +44,15 @@ pub enum IrMeta {
         /// Largest index gathered (None when the index list is empty).
         idx_max: Option<usize>,
     },
+    /// Pair-scorer endpoint summary.
+    Pairs {
+        /// Number of first endpoints (pairs scored).
+        a_len: usize,
+        /// Number of second endpoints (must equal `a_len`).
+        b_len: usize,
+        /// Largest endpoint row over both lists (None when empty).
+        idx_max: Option<usize>,
+    },
     /// Masked-NLL label/index summary.
     Nll {
         /// Length of the label vector (must equal input rows).

@@ -111,6 +111,13 @@ pub(crate) enum Op {
         src: Var,
         mask: Arc<Vec<f32>>,
     },
+    ScorePairs {
+        h: Var,
+        w: Var,
+        bias: Var,
+        a_idx: Arc<Vec<usize>>,
+        b_idx: Arc<Vec<usize>>,
+    },
 }
 
 impl Op {
@@ -148,14 +155,15 @@ impl Op {
             Op::MeanAll(..) => OpKind::MeanAll,
             Op::RowSum(..) => OpKind::RowSum,
             Op::Dropout { .. } => OpKind::Dropout,
+            Op::ScorePairs { .. } => OpKind::ScorePairs,
         }
     }
 
     /// The tape parents in operand order: the first `n` entries of the
     /// returned array (data-flow edges only — payloads are not parents).
-    pub(crate) fn parents(&self) -> ([Var; 2], usize) {
+    pub(crate) fn parents(&self) -> ([Var; 3], usize) {
         match *self {
-            Op::Leaf => ([Var(0); 2], 0),
+            Op::Leaf => ([Var(0); 3], 0),
             Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
@@ -175,7 +183,7 @@ impl Op {
                 values: a,
                 dense: b,
                 ..
-            } => ([a, b], 2),
+            } => ([a, b, b], 2),
             Op::Scale(a, _)
             | Op::AddScalar(a, _)
             | Op::Transpose(a)
@@ -195,7 +203,8 @@ impl Op {
             | Op::NllMasked { logp: a, .. }
             | Op::EdgeSoftmax { scores: a, .. }
             | Op::GatherRows { src: a, .. }
-            | Op::Dropout { src: a, .. } => ([a, a], 1),
+            | Op::Dropout { src: a, .. } => ([a, a, a], 1),
+            Op::ScorePairs { h, w, bias, .. } => ([h, w, bias], 3),
         }
     }
 
@@ -231,6 +240,10 @@ impl Op {
                 idx: Arc::clone(idx),
             }),
             Op::Dropout { mask, .. } => Some(Payload::Mask(Arc::clone(mask))),
+            Op::ScorePairs { a_idx, b_idx, .. } => Some(Payload::Pairs {
+                a: Arc::clone(a_idx),
+                b: Arc::clone(b_idx),
+            }),
             _ => None,
         }
     }

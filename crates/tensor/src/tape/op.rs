@@ -159,6 +159,9 @@ op_table! {
     RowSum = "row_sum", arity 1, payload false, param false, Serial;
     /// Multiplication by a fixed, pre-sampled dropout mask.
     Dropout = "dropout", arity 1, payload true, param false, Serial;
+    /// Eq. 4 pair logits `w·[h_a ; h_b (; h_a ⊙ h_b)] + b` straight from the
+    /// node embeddings; operands `(h, w, b)`, payload the two index lists.
+    ScorePairs = "score_pairs", arity 3, payload true, param false, Serial;
 }
 
 impl OpKind {
@@ -194,6 +197,13 @@ pub enum Payload {
     Sparse(Arc<CsrStructure>),
     /// Row indices of a `gather_rows` node.
     Gather(Arc<Vec<usize>>),
+    /// Endpoint rows of a `score_pairs` node: pair `p` is `(a[p], b[p])`.
+    Pairs {
+        /// First endpoints.
+        a: Arc<Vec<usize>>,
+        /// Second endpoints.
+        b: Arc<Vec<usize>>,
+    },
     /// Labels and masked row set of an `nll_masked` node.
     Nll {
         /// Per-row class labels.
@@ -222,6 +232,11 @@ impl Payload {
             Payload::Gather(idx) => IrMeta::Gather {
                 idx_len: idx.len(),
                 idx_max: idx.iter().copied().max(),
+            },
+            Payload::Pairs { a, b } => IrMeta::Pairs {
+                a_len: a.len(),
+                b_len: b.len(),
+                idx_max: a.iter().chain(b.iter()).copied().max(),
             },
             Payload::Nll { labels, idx } => IrMeta::Nll {
                 labels_len: labels.len(),
@@ -369,6 +384,33 @@ pub fn infer_shape(kind: OpKind, parents: &[Shape], meta: &IrMeta) -> Result<Sha
             }
             Ok((idx_len, p(0).1))
         }
+        ScorePairs => {
+            let IrMeta::Pairs {
+                a_len,
+                b_len,
+                idx_max,
+            } = *meta
+            else {
+                return Err(no_meta("Pairs"));
+            };
+            ensure(a_len == b_len, &|| {
+                fail(format!("{a_len} first endpoints for {b_len} second"), &[])
+            })?;
+            if let Some(mx) = idx_max.filter(|&mx| mx >= p(0).0) {
+                return Err(fail(format!("pair index {mx} out of bounds"), &[0]));
+            }
+            // The block count is read from `w`: two blocks score the
+            // additive concatenation, three add the interaction block.
+            let f = p(0).1;
+            ensure(p(1) == (2 * f, 1) || p(1) == (3 * f, 1), &|| {
+                fail(
+                    format!("weight must be {}x1 or {}x1", 2 * f, 3 * f),
+                    &[0, 1],
+                )
+            })?;
+            ensure(p(2) == (1, 1), &|| fail("bias must be 1x1".into(), &[2]))?;
+            Ok((a_len, 1))
+        }
         NllMasked => {
             let IrMeta::Nll {
                 labels_len,
@@ -508,6 +550,9 @@ pub fn forward(kind: OpKind, args: &[&Matrix], param: f32, payload: Option<&Payl
             Matrix::scalar(acc / idx.len() as f32)
         }
         (GatherRows, Some(Payload::Gather(idx))) => args[0].gather_rows(idx),
+        (ScorePairs, Some(Payload::Pairs { a, b })) => {
+            crate::kernels::score_pairs(args[0], a, b, args[1].as_slice(), args[2].scalar_value())
+        }
         (ConcatCols, _) => args[0].concat_cols(args[1]),
         (ConcatRows, _) => args[0].concat_rows(args[1]),
         (SumAll, _) => Matrix::scalar(args[0].sum()),
@@ -520,7 +565,7 @@ pub fn forward(kind: OpKind, args: &[&Matrix], param: f32, payload: Option<&Payl
             }
             v
         }
-        (Leaf | Spmm | EdgeSoftmax | NllMasked | GatherRows | Dropout, _) => {
+        (Leaf | Spmm | EdgeSoftmax | NllMasked | GatherRows | Dropout | ScorePairs, _) => {
             // lint:allow(no-unwrap): precondition breach; infer_shape rejects a missing or mistyped payload
             panic!("forward: `{kind}` called without its payload")
         }
@@ -565,6 +610,51 @@ mod tests {
         assert_eq!(
             bias.unwrap_err().to_string(),
             "bias must be 1x4: operand 0 is 2x4 but operand 1 is 2x1"
+        );
+    }
+
+    #[test]
+    fn score_pairs_width_comes_from_the_weight() {
+        let pairs = |idx_max| IrMeta::Pairs {
+            a_len: 5,
+            b_len: 5,
+            idx_max,
+        };
+        for w_rows in [8, 12] {
+            let shape = infer_shape(
+                OpKind::ScorePairs,
+                &[(3, 4), (w_rows, 1), (1, 1)],
+                &pairs(Some(2)),
+            );
+            assert_eq!(shape, Ok((5, 1)), "{w_rows}");
+        }
+        let wide = infer_shape(
+            OpKind::ScorePairs,
+            &[(3, 4), (16, 1), (1, 1)],
+            &pairs(Some(2)),
+        );
+        assert_eq!(
+            wide.unwrap_err().describe(&[4, 7, 9]),
+            "weight must be 8x1 or 12x1: node 4 is 3x4 but node 7 is 16x1"
+        );
+        let oob = infer_shape(
+            OpKind::ScorePairs,
+            &[(3, 4), (8, 1), (1, 1)],
+            &pairs(Some(3)),
+        );
+        assert_eq!(
+            oob.unwrap_err().to_string(),
+            "pair index 3 out of bounds: operand 0 is 3x4"
+        );
+        let ragged = IrMeta::Pairs {
+            a_len: 5,
+            b_len: 4,
+            idx_max: None,
+        };
+        let err = infer_shape(OpKind::ScorePairs, &[(3, 4), (8, 1), (1, 1)], &ragged);
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "5 first endpoints for 4 second"
         );
     }
 }

@@ -148,6 +148,28 @@ proptest! {
     }
 
     #[test]
+    fn grad_score_pairs(
+        h in small_mat(4, 3),
+        w3 in small_mat(9, 1),
+        w2 in small_mat(6, 1),
+        b in small_mat(1, 1),
+    ) {
+        // Nine pairs: one full lane group plus a tail; repeated endpoints
+        // and `a == b` pairs make the scatter collide.
+        let a_idx = Arc::new(vec![0usize, 1, 3, 2, 2, 0, 1, 3, 0]);
+        let b_idx = Arc::new(vec![1usize, 1, 0, 3, 2, 2, 0, 1, 3]);
+        for w in [w3, w2] {
+            let (a_idx, b_idx) = (a_idx.clone(), b_idx.clone());
+            assert_gradcheck(&[h.clone(), w, b.clone()], TOL, move |t, vs| {
+                let s = t.score_pairs(vs[0], a_idx.clone(), b_idx.clone(), vs[1], vs[2]);
+                let y = t.sigmoid(s);
+                let q = t.mul(y, y);
+                t.mean_all(q)
+            });
+        }
+    }
+
+    #[test]
     fn grad_row_sum_l2(a in small_mat(3, 4), b in small_mat(3, 4)) {
         assert_gradcheck(&[a, b], TOL, |t, vs| {
             let d = t.row_l2_distance(vs[0], vs[1]);

@@ -5,6 +5,11 @@
 
 use ses_tensor::par;
 
+/// The tests below toggle the process-global tracing override and the
+/// armed worker-panic fault; serialize them so libtest's parallel runner
+/// cannot switch tracing off (or consume the fault) under another test.
+static GLOBAL_OBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Span events for one trace, drained from the non-destructive snapshot.
 fn trace_events(trace: ses_obs::TraceId) -> Vec<ses_obs::trace::SpanEvent> {
     ses_obs::trace::events_snapshot()
@@ -15,6 +20,7 @@ fn trace_events(trace: ses_obs::TraceId) -> Vec<ses_obs::trace::SpanEvent> {
 
 #[test]
 fn worker_spans_join_the_submitting_request_trace() {
+    let _serial = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
     ses_obs::set_enabled_override(Some(true));
     let trace = {
         let req = ses_obs::trace::request("test.par_request");
@@ -50,6 +56,7 @@ fn worker_spans_join_the_submitting_request_trace() {
 
 #[test]
 fn panic_degraded_op_still_yields_one_well_formed_tree() {
+    let _serial = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
     ses_obs::set_enabled_override(Some(true));
     let trace = {
         let req = ses_obs::trace::request("test.degraded_request");
@@ -92,6 +99,7 @@ fn panic_degraded_op_still_yields_one_well_formed_tree() {
 
 #[test]
 fn spans_without_a_request_stay_out_of_every_trace() {
+    let _serial = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
     ses_obs::set_enabled_override(Some(true));
     let tasks: Vec<_> = (0..4)
         .map(|i| {

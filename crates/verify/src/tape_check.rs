@@ -137,10 +137,13 @@ pub fn verify_tape(ir: &TapeIr, cfg: &TapeCheckConfig) -> Vec<Diag> {
         }
     }
 
-    // --- duplicate subgraph detection (non-leaf nodes) ----------------------
+    // --- duplicate subgraph detection (CSE-safe nodes) ----------------------
+    // Leaves and payload ops are skipped: the IR only summarises their
+    // payloads, so two `score_pairs` over different pair lists of the same
+    // length look identical here without being so.
     let mut seen: HashMap<String, usize> = HashMap::new();
     for (i, node) in ir.nodes.iter().enumerate() {
-        if node.op == OpKind::Leaf {
+        if !node.op.cse_safe() {
             continue;
         }
         let key = format!(
